@@ -10,7 +10,6 @@ from .arith import (
     factorize,
     is_prime,
     jacobi,
-    mod_pow,
     multiplicative_order,
 )
 from .errors import (

@@ -1,43 +1,16 @@
-"""Hot numeric kernels with two backends: numba @njit loops and pure numpy.
+"""Hot numeric kernels, vectorized with numpy.
 
-Backend selection: CARMKIT_KERNELS=auto|numba|numpy (default auto = numba when
-importable). Both variants of every kernel stay importable so the benchmark
-can race them; ``backend_name()`` reports which one dispatchers use.
-
-All kernels work on int64 arrays, so callers must keep values < 2**62 (moduli
-< 2**31 where products are formed). Arbitrary-precision paths live outside
-this module.
+The sieves and the residue DP work on int64 arrays, so callers keep values
+< 2**62 and moduli < ``INT64_MOD_LIMIT`` where products are formed.
+``all_subset_products`` falls back to object arrays (Python ints) for larger
+moduli; other arbitrary-precision paths live outside this module.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_choice = os.environ.get("CARMKIT_KERNELS", "auto").strip().lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise ValueError(f"CARMKIT_KERNELS must be auto, numba or numpy, got {_choice!r}")
-
-USING_NUMBA = False
-if _choice in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:
-        if _choice == "numba":
-            raise
-if not USING_NUMBA:
-
-    def njit(*args, **kwargs):  # identity decorator; loop variants stay callable
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
-
-def backend_name() -> str:
-    return "numba" if USING_NUMBA else "numpy"
+INT64_MOD_LIMIT = 1 << 31  # residues below this multiply without int64 overflow
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -52,11 +25,11 @@ def sieve_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-# ---------------------------------------------------------------------------
-# Largest-prime-factor table over a window [lo, hi]
+def lpf_range(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
+    """Largest prime factor for each integer in [lo, hi]; lpf(1) = 1.
 
-
-def _lpf_range_numpy(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
+    ``base_primes`` must cover all primes <= isqrt(hi).
+    """
     n = hi - lo + 1
     rem = np.arange(lo, hi + 1, dtype=np.int64)
     lpf = np.ones(n, dtype=np.int64)
@@ -80,46 +53,11 @@ def _lpf_range_numpy(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     return lpf
 
 
-@njit(cache=True, nogil=True)
-def _lpf_range_loops(lo, hi, base_primes):
-    n = hi - lo + 1
-    rem = np.empty(n, np.int64)
-    lpf = np.ones(n, np.int64)
-    for i in range(n):
-        rem[i] = lo + i
-    for pi in range(base_primes.shape[0]):
-        p = base_primes[pi]
-        start = ((lo + p - 1) // p) * p
-        for v in range(start, hi + 1, p):
-            i = v - lo
-            r = rem[i]
-            while r % p == 0:
-                r //= p
-            rem[i] = r
-            lpf[i] = p
-    for i in range(n):
-        if rem[i] > 1:
-            lpf[i] = rem[i]
-    if lo <= 1 <= hi:
-        lpf[1 - lo] = 1
-    return lpf
+def carmichael_segment(lo: int, hi: int, odd_primes: np.ndarray) -> np.ndarray:
+    """Flags, per odd v in [lo, hi), v composite + squarefree + (p-1 | v-1 for all p | v).
 
-
-def lpf_range(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
-    """Largest prime factor for each integer in [lo, hi]; lpf(1) = 1.
-
-    ``base_primes`` must cover all primes <= isqrt(hi).
+    ``lo`` must be odd; ``odd_primes`` must cover odd primes <= isqrt(hi - 1).
     """
-    if USING_NUMBA:
-        return _lpf_range_loops(lo, hi, base_primes)
-    return _lpf_range_numpy(lo, hi, base_primes)
-
-
-# ---------------------------------------------------------------------------
-# Carmichael candidate scan over a segment of odd integers
-
-
-def _carmichael_segment_numpy(lo: int, hi: int, odd_primes: np.ndarray) -> np.ndarray:
     vals = np.arange(lo, hi, 2, dtype=np.int64)
     n = vals.size
     rem = vals.copy()
@@ -152,66 +90,14 @@ def _carmichael_segment_numpy(lo: int, hi: int, odd_primes: np.ndarray) -> np.nd
     return out.astype(np.uint8)
 
 
-@njit(cache=True, nogil=True)
-def _carmichael_segment_loops(lo, hi, odd_primes):
-    n = (hi - lo + 1) // 2
-    rem = np.empty(n, np.int64)
-    alive = np.ones(n, np.uint8)
-    nfac = np.zeros(n, np.uint8)
-    for i in range(n):
-        rem[i] = lo + 2 * i
-    for pi in range(odd_primes.shape[0]):
-        p = odd_primes[pi]
-        start = ((lo + p - 1) // p) * p
-        if start % 2 == 0:
-            start += p
-        for v in range(start, hi, 2 * p):
-            i = (v - lo) // 2
-            if alive[i] == 0:
-                continue
-            r = rem[i] // p
-            if r % p == 0:
-                alive[i] = 0  # not squarefree
-                continue
-            if (v - 1) % (p - 1) != 0:
-                alive[i] = 0
-                continue
-            rem[i] = r
-            nfac[i] += 1
-    out = np.zeros(n, np.uint8)
-    for i in range(n):
-        if alive[i] == 0:
-            continue
-        v = lo + 2 * i
-        r = rem[i]
-        cnt = nfac[i]
-        if r > 1:
-            if r == v:
-                continue  # v is prime
-            if (v - 1) % (r - 1) != 0:
-                continue
-            cnt += 1
-        if cnt >= 2:
-            out[i] = 1
-    return out
+def dp_reach(inv: np.ndarray, m: int, n_classes: int, capped: bool, start: int) -> np.ndarray:
+    """Layered reachability table for subset products mod m with size classes.
 
-
-def carmichael_segment(lo: int, hi: int, odd_primes: np.ndarray) -> np.ndarray:
-    """Flags, per odd v in [lo, hi), v composite + squarefree + (p-1 | v-1 for all p | v).
-
-    ``lo`` must be odd; ``odd_primes`` must cover odd primes <= isqrt(hi - 1).
+    Item i is the residue whose inverse mod m is ``inv[i]``; layer i holds
+    states over the first i items. Class c counts chosen items, with the top
+    class saturating when ``capped``.
     """
-    if USING_NUMBA:
-        return _carmichael_segment_loops(lo, hi, odd_primes)
-    return _carmichael_segment_numpy(lo, hi, odd_primes)
-
-
-# ---------------------------------------------------------------------------
-# Subset-product reachability DP over residues
-
-
-def _dp_reach_numpy(res, inv, m, n_classes, capped, start):
-    n = res.shape[0]
+    n = inv.shape[0]
     reach = np.zeros((n + 1, n_classes, m), dtype=bool)
     reach[0, 0, start] = True
     idx = np.arange(m, dtype=np.int64)
@@ -226,49 +112,17 @@ def _dp_reach_numpy(res, inv, m, n_classes, capped, start):
     return reach
 
 
-@njit(cache=True, nogil=True)
-def _dp_reach_loops(res, inv, m, n_classes, capped, start):
-    n = res.shape[0]
-    reach = np.zeros((n + 1, n_classes, m), np.bool_)
-    reach[0, 0, start] = True
-    for i in range(n):
-        p = res[i]
-        for c in range(n_classes):
-            for r in range(m):
-                if reach[i, c, r]:
-                    reach[i + 1, c, r] = True
-        for c in range(1, n_classes):
-            for r in range(m):
-                if reach[i, c - 1, r]:
-                    reach[i + 1, c, (r * p) % m] = True
-        if capped:
-            top = n_classes - 1
-            for r in range(m):
-                if reach[i, top, r]:
-                    reach[i + 1, top, (r * p) % m] = True
-    return reach
+def all_subset_products(res, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(product mod m, popcount) for every subset mask of the residues ``res``.
 
-
-def dp_reach(res: np.ndarray, inv: np.ndarray, m: int, n_classes: int, capped: bool, start: int) -> np.ndarray:
-    """Layered reachability table for subset products mod m with size classes.
-
-    Layer i holds states over the first i items; class c counts chosen items,
-    with the top class saturating when ``capped``. ``inv`` holds modular
-    inverses of ``res`` (for the vectorized backend's backward indexing).
+    Entry ``mask`` covers the items whose bits are set in it. Products are
+    int64 for m < INT64_MOD_LIMIT and Python ints (object dtype) otherwise.
     """
-    if USING_NUMBA:
-        return _dp_reach_loops(res, inv, m, n_classes, capped, start)
-    return _dp_reach_numpy(res, inv, m, n_classes, capped, start)
-
-
-# ---------------------------------------------------------------------------
-# All 2**n subset products (mask-indexed), for the exhaustive oracle
-
-
-def _all_products_numpy(res, m):
+    dtype = np.int64 if m < INT64_MOD_LIMIT else object
+    res = np.array(res, dtype=dtype)
     n = res.shape[0]
     total = 1 << n
-    prod = np.empty(total, dtype=np.int64)
+    prod = np.empty(total, dtype=dtype)
     size = np.zeros(total, dtype=np.uint8)
     prod[0] = 1 % m
     for i in range(n):
@@ -276,26 +130,3 @@ def _all_products_numpy(res, m):
         prod[half : 2 * half] = prod[:half] * res[i] % m
         size[half : 2 * half] = size[:half] + 1
     return prod, size
-
-
-@njit(cache=True, nogil=True)
-def _all_products_loops(res, m):
-    n = res.shape[0]
-    total = 1 << n
-    prod = np.empty(total, np.int64)
-    size = np.zeros(total, np.uint8)
-    prod[0] = 1 % m
-    for i in range(n):
-        half = 1 << i
-        p = res[i]
-        for j in range(half):
-            prod[half + j] = prod[j] * p % m
-            size[half + j] = size[j] + 1
-    return prod, size
-
-
-def all_subset_products(res: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(product mod m, popcount) for every subset mask of ``res`` (n <= 24)."""
-    if USING_NUMBA:
-        return _all_products_loops(res, m)
-    return _all_products_numpy(res, m)

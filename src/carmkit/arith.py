@@ -69,15 +69,6 @@ class Factorization:
         return len(self.pairs)
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus by square-and-multiply."""
-    if modulus < 1:
-        raise DomainError(f"modulus must be >= 1, got {modulus}")
-    if exponent < 0:
-        raise DomainError(f"exponent must be >= 0, got {exponent}")
-    return pow(base, exponent, modulus)
-
-
 def _is_square(n: int) -> bool:
     if n < 0:
         return False

@@ -24,7 +24,7 @@ from .errors import (
     DomainError,
     InfeasibleError,
 )
-from .korselt import Census, census, enumerate_carmichael, korselt_check
+from .korselt import Census, census, korselt_check
 from .pipeline import (
     Caps,
     ConstructionParams,
@@ -33,6 +33,7 @@ from .pipeline import (
     run_agp_construction,
 )
 from .solver import (
+    ENUMERATE_LIMIT,
     AssemblySpec,
     CarmichaelCertificate,
     assemble,
@@ -81,23 +82,30 @@ def _default_threads() -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # global flags, accepted before or after the subcommand; unset ones stay
+    # out of the namespace, so a subcommand never overwrites an earlier value
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--format", choices=FORMATS, help="default json-lines")
+    common.add_argument("--output", metavar="PATH")
+    common.add_argument("--threads", type=int, metavar="N")
     parser = argparse.ArgumentParser(
         prog="carmkit",
         description="Construct, search for, and certify Carmichael numbers in residue classes.",
+        parents=[common],
     )
-    parser.add_argument("--format", choices=FORMATS, default="json-lines")
-    parser.add_argument("--output", metavar="PATH", default=None)
-    parser.add_argument("--threads", type=int, default=None, metavar="N")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("verify", help="check a single number against Korselt's criterion")
+    p = sub.add_parser("verify", parents=[common],
+                       help="check a single number against Korselt's criterion")
     p.add_argument("n", type=int)
 
-    p = sub.add_parser("census", help="count Carmichael numbers per residue class")
+    p = sub.add_parser("census", parents=[common],
+                       help="count Carmichael numbers per residue class")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--modulus", type=int, required=True)
 
-    p = sub.add_parser("construct", help="build a Carmichael number in a residue class")
+    p = sub.add_parser("construct", parents=[common],
+                       help="build a Carmichael number in a residue class")
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--residue", type=int, required=True)
     p.add_argument("--mode", choices=("agp", "erdos"), default="erdos")
@@ -115,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--residue-filter", dest="residue_filter", action=argparse.BooleanOptionalAction,
                    default=True, help="require pool primes to be a mod M (agp mode)")
 
-    p = sub.add_parser("solve", help="subset-product search over an explicit pool")
+    p = sub.add_parser("solve", parents=[common],
+                       help="subset-product search over an explicit pool")
     p.add_argument("--pool", dest="pool_file", required=True, metavar="FILE",
                    help="one decimal integer per line")
     p.add_argument("--modulus", type=int, required=True)
@@ -128,10 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv) -> RunConfig:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if ns.threads is not None and ns.threads < 1:
+    threads = getattr(ns, "threads", None)
+    if threads is not None and threads < 1:
         parser.error("--threads must be >= 1")
-    cfg = RunConfig(subcommand=ns.subcommand, format=ns.format, output=ns.output,
-                    threads=ns.threads if ns.threads else _default_threads())
+    cfg = RunConfig(subcommand=ns.subcommand, format=getattr(ns, "format", "json-lines"),
+                    output=getattr(ns, "output", None), threads=threads or _default_threads())
     if ns.subcommand == "verify":
         if ns.n < 1:
             parser.error("n must be >= 1")
@@ -278,6 +288,8 @@ def _meta(cfg: RunConfig) -> dict:
     elif cfg.subcommand == "solve":
         pairs.update(pool=cfg.pool_file, modulus=cfg.modulus,
                      target=str(cfg.target), min_size=cfg.min_size)
+        if cfg.max_factors is not None:
+            pairs["max_size"] = cfg.max_factors
     return pairs
 
 
@@ -304,24 +316,21 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list[str]]:
 
 
 def _run_census(cfg: RunConfig) -> tuple[int, list[str]]:
-    if cfg.modulus == 1:
-        # single residue class 0 mod 1; the library census contract starts at 2
-        total = len(enumerate_carmichael(cfg.limit, threads=cfg.threads))
-        result = Census(limit=cfg.limit, modulus=1, counts={0: total}, other=0)
-    else:
-        result = census(cfg.limit, cfg.modulus, threads=cfg.threads)
+    result = census(cfg.limit, cfg.modulus, threads=cfg.threads)
     text = emit_census(result, cfg.format)
     return (0 if result.total > 0 else 1), text.splitlines()
 
 
 def _construct_erdos(cfg: RunConfig) -> tuple[int, list[str]]:
-    pool = erdos_pool(cfg.Lambda, cfg.modulus, cfg.residue, cfg.pool_cap)
+    pool = erdos_pool(cfg.Lambda, cfg.modulus, cfg.pool_cap)
     target = derive_target(cfg.Lambda, cfg.modulus, cfg.residue)
     subset = subset_product_find(pool, target.modulus, target.h, 3, cfg.max_factors)
     if subset is None:
         note = ""
-        if len(pool) <= 24:
-            hits = subset_product_enumerate(pool, target.modulus, target.h, 3, cfg.max_factors)
+        if len(pool) <= ENUMERATE_LIMIT:
+            if subset_product_enumerate(pool, target.modulus, target.h, 3, cfg.max_factors):
+                # search and exhaustive oracle must agree
+                raise AssertionError("subset search missed a subset the exhaustive scan finds")
             note = f"; exhaustive scan of {2 ** len(pool)} subsets confirms none exists"
         print(f"no qualifying subset in pool of {len(pool)} primes{note}", file=sys.stderr)
         return 1, []

@@ -99,9 +99,9 @@ class Census:
 
 
 def census(limit: int, M: int, *, threads: int = 1) -> Census:
-    """Bucket the Carmichael numbers below ``limit`` by residue mod M (M >= 2)."""
-    if M < 2:
-        raise DomainError(f"census requires modulus >= 2, got {M}")
+    """Bucket the Carmichael numbers below ``limit`` by residue mod M (M >= 1)."""
+    if M < 1:
+        raise DomainError(f"census requires modulus >= 1, got {M}")
     counts = {a: 0 for a in range(M) if math.gcd(a, M) == 1}
     other = 0
     for n, _ in enumerate_carmichael(limit, threads=threads):

@@ -209,21 +209,17 @@ def find_k0(
     return best_k, best_count
 
 
-def build_pool(state: ConstructionState, params: ConstructionParams, *, strict: bool = False) -> list[tuple[int, int]]:
+def build_pool(state: ConstructionState, params: ConstructionParams) -> list[tuple[int, int]]:
     """All (p, d) with d | L, p = d*k0 + 1 passing the filters, ascending in p.
 
-    ``strict`` re-checks gcd((p-1)/d, L) = 1, which holds automatically when
-    gcd(k0, L) = 1; it exists for diagnostic runs with hand-picked k0.
+    gcd((p-1)/d, L) = gcd(k0, L) = 1 holds for every entry, since find_k0
+    only picks k0 coprime to L.
     """
     out = []
-    L = state.L
     for d in divisors(state.L_fact):
-        p = _qualifying(d, state.k0, state.x, params.M, params.a, L, state.L_fact, params.filters)
-        if p is None:
-            continue
-        if strict and math.gcd((p - 1) // d, L) != 1:
-            continue
-        out.append((p, d))
+        p = _qualifying(d, state.k0, state.x, params.M, params.a, state.L, state.L_fact, params.filters)
+        if p is not None:
+            out.append((p, d))
     out.sort()
     if params.caps.pool_cap is not None:
         out = out[: params.caps.pool_cap]
@@ -232,11 +228,11 @@ def build_pool(state: ConstructionState, params: ConstructionParams, *, strict: 
     return out
 
 
-def erdos_pool(Lambda: int, M: int, a: int, pool_cap: int | None = None) -> list[int]:
+def erdos_pool(Lambda: int, M: int, pool_cap: int | None = None) -> list[int]:
     """All primes p with p-1 | Lambda and p coprime to Lambda*M, ascending.
 
-    The residue a plays no role in membership (subset products, not single
-    primes, hit the residue class); it is accepted for interface symmetry.
+    The residue class plays no role in membership: subset products, not
+    single primes, hit it.
     """
     if Lambda < 2:
         raise DomainError(f"Lambda must be >= 2, got {Lambda}")

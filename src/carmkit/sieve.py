@@ -7,7 +7,6 @@ q = -1 (mod 4*phi(M)), plus the windowed smooth-prime counting function.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -16,8 +15,6 @@ import numpy as np
 from . import _kernels
 from .arith import euler_phi, factorize
 from .errors import CapacityError, DomainError
-
-log = logging.getLogger(__name__)
 
 SIEVE_CAPACITY = 100_000_000
 
@@ -69,8 +66,8 @@ def lpf_table(lo: int, hi: int) -> np.ndarray:
 def build_Q(query: SmoothPrimeQuery) -> list[int]:
     """Primes q in the query window with q ∤ M, q = -1 mod 4*phi(M), P(q-1) <= y.
 
-    For M > 2 an extra coprimality filter gcd((q-1)/2, phi(M)) = 1 is applied
-    (it is implied by the congruence, so it never fires; rejects are logged).
+    The congruence makes (q-1)/2 = -1 mod phi(M), so gcd((q-1)/2, phi(M)) = 1
+    for every q returned.
     """
     lo, hi = query.window_low, query.window_high
     if lo > hi:
@@ -87,16 +84,7 @@ def build_Q(query: SmoothPrimeQuery) -> list[int]:
     # q-1 sits one slot earlier in the same table
     mask[0] = False
     mask[1:] &= table[:-1] <= query.y
-    candidates = vals[mask]
-    out = []
-    for q in (int(q) for q in candidates):
-        if query.M % q == 0:
-            continue
-        if query.M > 2 and math.gcd((q - 1) // 2, phi_M) != 1:
-            log.info("rejecting q=%d: gcd((q-1)/2, phi(M)) != 1", q)
-            continue
-        out.append(q)
-    return out
+    return [q for q in vals[mask].tolist() if query.M % q != 0]
 
 
 def count_smooth_primes(z: int, v: int, d: int, b: int) -> int:

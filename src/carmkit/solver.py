@@ -38,7 +38,6 @@ from .korselt import korselt_check
 MITM_LIMIT = 40
 ENUMERATE_LIMIT = 24
 DP_CELL_BOUND = 200_000_000
-_KERNEL_MOD_LIMIT = 1 << 31  # int64 product safety
 
 
 @dataclass(frozen=True)
@@ -115,40 +114,33 @@ class CarmichaelCertificate:
     checks: dict[str, bool]
 
 
-def compute_invariants(
-    spec: GroupSpec, omega_L: int, x: int, *, log_base: float | None = None
-) -> GroupInvariants:
+def compute_invariants(spec: GroupSpec, omega_L: int, x: int) -> GroupInvariants:
     """Evaluate the zero-sum threshold s(G), the identity-threshold bound and t.
 
     n_bound = lambda * (1 + log|G|/lambda)
     s(G)    = ceil(5 * lambda^2 * Omega(lambda) * log(3 * lambda * Omega(|G|)))
     t       = (6/5)**omega_L / (60 * phi(M) * log x)
 
-    Logarithms are natural unless ``log_base`` overrides them (sensitivity
-    checks only; the defaults are the contract).
+    Logarithms are natural.
     """
     if x < 3:
         raise DomainError(f"x must be >= 3, got {x}")
-
-    def _log(v: float) -> float:
-        return math.log(v) if log_base is None else math.log(v, log_base)
-
     lam = spec.exponent
     omega_lambda = factorize(lam).big_omega if lam > 1 else 0
     omega_order = factorize(spec.order).big_omega if spec.order > 1 else 0
     # lam * (1 + log|G|/lam) = lam + log|G|; may exceed float range for huge groups
     try:
-        n_bound = float(lam) + (_log(spec.order) if spec.order > 1 else 0.0)
+        n_bound = float(lam) + (math.log(spec.order) if spec.order > 1 else 0.0)
     except OverflowError:
         n_bound = math.inf
     if lam >= 2:
         # ceil(A * c) in exact arithmetic (A can dwarf the float range)
         A = 5 * lam * lam * omega_lambda
-        c = Fraction(_log(3 * lam * omega_order))
+        c = Fraction(math.log(3 * lam * omega_order))
         s_G = int(-(-A * c.numerator // c.denominator))
     else:
         s_G = 0
-    t = (6 / 5) ** omega_L / (60 * spec.phi_M * _log(x))
+    t = (6 / 5) ** omega_L / (60 * spec.phi_M * math.log(x))
     return GroupInvariants(
         lambda_G=lam,
         omega_lambda=omega_lambda,
@@ -244,25 +236,16 @@ def _find_mitm(pool, modulus, target, min_size, max_size):
     left, right = pool[: n - nb], pool[n - nb :]
 
     def mask_products(elems):
-        prods = [1 % modulus] * (1 << len(elems))
-        for i, e in enumerate(elems):
-            e %= modulus
-            half = 1 << i
-            for j in range(half):
-                prods[half + j] = prods[j] * e % modulus
-        return prods
+        prods, sizes = _kernels.all_subset_products([e % modulus for e in elems], modulus)
+        return zip(prods.tolist(), sizes.tolist())
 
-    right_prods = mask_products(right)
     table: dict[int, dict[int, int]] = {}
-    for mask, pr in enumerate(right_prods):
+    for mask, (pr, sz) in enumerate(mask_products(right)):
         sizes = table.setdefault(pr, {})
-        sz = mask.bit_count()
         if sz not in sizes:
             sizes[sz] = mask
-    left_prods = mask_products(left)
     cap = max_size if max_size is not None else n
-    for lmask, pr in enumerate(left_prods):
-        sl = lmask.bit_count()
+    for lmask, (pr, sl) in enumerate(mask_products(left)):
         if sl > cap:
             continue
         need = target * pow(pr, -1, modulus) % modulus
@@ -280,7 +263,7 @@ def _find_mitm(pool, modulus, target, min_size, max_size):
 
 def _find_dp(pool, modulus, target, min_size, max_size):
     n = len(pool)
-    if modulus >= _KERNEL_MOD_LIMIT:
+    if modulus >= _kernels.INT64_MOD_LIMIT:
         raise CapacityError(
             f"modulus {modulus} is too large for the residue DP; reduce the pool to <= {MITM_LIMIT}"
         )
@@ -291,9 +274,8 @@ def _find_dp(pool, modulus, target, min_size, max_size):
         raise CapacityError(
             f"DP table would need {cells} cells (> {DP_CELL_BOUND}); reduce the pool"
         )
-    res = np.array([p % modulus for p in pool], dtype=np.int64)
-    inv = np.array([pow(int(r), -1, modulus) for r in res], dtype=np.int64)
-    reach = _kernels.dp_reach(res, inv, modulus, n_classes, capped, 1 % modulus)
+    inv = np.array([pow(p, -1, modulus) for p in pool], dtype=np.int64)
+    reach = _kernels.dp_reach(inv, modulus, n_classes, capped, 1 % modulus)
     top = n_classes - 1
     end_classes = [top] if capped else list(range(min_size, n_classes))
     end_c = next((c for c in end_classes if reach[n, c, target]), None)
@@ -344,30 +326,9 @@ def subset_product_enumerate(
         raise CapacityError(f"pool size {n} exceeds exhaustive-scan cap {ENUMERATE_LIMIT}")
     target %= modulus
     cap = max_size if max_size is not None else n
-    out = []
-    if n == 0:
-        return out
-    if modulus < _KERNEL_MOD_LIMIT:
-        prods, sizes = _kernels.all_subset_products(
-            np.array([p % modulus for p in pool], dtype=np.int64), modulus
-        )
-        masks = np.flatnonzero((prods == target) & (sizes >= min_size) & (sizes <= cap))
-        mask_list = (int(m) for m in masks)
-    else:
-        prods = [1 % modulus] * (1 << n)
-        for i, p in enumerate(pool):
-            p %= modulus
-            half = 1 << i
-            for j in range(half):
-                prods[half + j] = prods[j] * p % modulus
-        mask_list = (
-            m
-            for m, pr in enumerate(prods)
-            if pr == target and min_size <= m.bit_count() <= cap
-        )
-    for mask in mask_list:
-        out.append(tuple(i for i in range(n) if mask >> i & 1))
-    return out
+    prods, sizes = _kernels.all_subset_products([p % modulus for p in pool], modulus)
+    masks = np.flatnonzero((prods == target) & (sizes >= min_size) & (sizes <= cap))
+    return [tuple(i for i in range(n) if mask >> i & 1) for mask in masks.tolist()]
 
 
 @dataclass(frozen=True)
@@ -406,9 +367,6 @@ def count_lower_bound(pool_size: int, n_bound: float, t: float) -> SubsetCountBo
     return SubsetCountBound(log_bound=log_bound, bound=bound, exact=exact)
 
 
-_CHECK_ORDER = ("composite", "squarefree", "korselt", "residue_class", "multiplier_congruence")
-
-
 def assemble(subset, shared: AssemblySpec) -> CarmichaelCertificate:
     """Certify the product of ``subset`` as a Carmichael number in the class.
 
@@ -428,8 +386,6 @@ def assemble(subset, shared: AssemblySpec) -> CarmichaelCertificate:
     for p in primes:
         n *= p
     results = {
-        "composite": len(primes) >= 2,
-        "squarefree": True,  # distinct primes by validation
         "korselt": all((n - 1) % (p - 1) == 0 for p in primes),
         "residue_class": n % shared.M == shared.a % shared.M,
     }
@@ -437,10 +393,8 @@ def assemble(subset, shared: AssemblySpec) -> CarmichaelCertificate:
         results["multiplier_congruence"] = (n - 1) % (shared.multiplier * shared.L) == 0
     elif shared.mode == "erdos":
         results["multiplier_congruence"] = (n - 1) % shared.multiplier == 0
-    else:
-        results["multiplier_congruence"] = True
-    for name in _CHECK_ORDER:
-        if not results[name]:
+    for name, ok in results.items():
+        if not ok:
             raise AssemblyError(name, f"n = {n}")
     cert = CarmichaelCertificate(
         n=n,
@@ -451,10 +405,10 @@ def assemble(subset, shared: AssemblySpec) -> CarmichaelCertificate:
         M=shared.M,
         a=shared.a,
         checks={
+            # at least three distinct primes, as validated above
             "composite": True,
             "squarefree": True,
-            "korselt": True,
-            "residue_class": True,
+            **results,
             "probabilistic_primality_used": any(p >= PROBABLE_PRIME_THRESHOLD for p in primes),
         },
     )

@@ -77,7 +77,7 @@ def test_criterion_3_erdos_construction(capsys):
         cert.checks[k] for k in ("composite", "squarefree", "korselt", "residue_class")
     )
     # the pinned witness must be among the solutions of the solver instance
-    pool = pipeline.erdos_pool(120, 1, 1)
+    pool = pipeline.erdos_pool(120, 1)
     hits = solver.subset_product_enumerate(pool, 120, 1, 3)
     witness_sets = [{pool[i] for i in h} for h in hits]
     has_41041 = {7, 11, 13, 41} in witness_sets
@@ -90,7 +90,7 @@ def test_criterion_3_erdos_construction(capsys):
 
 def _erdos_certificate_exists(lam: int, M: int, a: int) -> bool:
     try:
-        pool = pipeline.erdos_pool(lam, M, a)
+        pool = pipeline.erdos_pool(lam, M)
         target = solver.derive_target(lam, M, a)
     except (ConstructionError, InfeasibleError):
         return False

@@ -8,14 +8,6 @@ from carmkit.arith import Factorization
 from carmkit.errors import CrtConflictError, DomainError, UnfactoredError
 
 
-def naive_pow(b, e, m):
-    # independent oracle: plain repeated multiplication
-    out = 1 % m
-    for _ in range(e):
-        out = out * b % m
-    return out
-
-
 def sieve_set(limit):
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
@@ -23,28 +15,6 @@ def sieve_set(limit):
         if flags[p]:
             flags[p * p :: p] = b"\x00" * len(flags[p * p :: p])
     return {i for i, f in enumerate(flags) if f}
-
-
-def test_mod_pow_examples():
-    assert arith.mod_pow(5, 0, 7) == 1
-    assert arith.mod_pow(2, 560, 561) == naive_pow(2, 560, 561) == 1
-    assert arith.mod_pow(2, 9, 9) == 512 % 9 == 8
-
-
-def test_mod_pow_against_naive():
-    rng = random.Random(1)
-    for _ in range(200):
-        b = rng.randrange(0, 1000)
-        e = rng.randrange(0, 200)
-        m = rng.randrange(1, 1000)
-        assert arith.mod_pow(b, e, m) == naive_pow(b, e, m)
-
-
-def test_mod_pow_domain():
-    with pytest.raises(DomainError):
-        arith.mod_pow(2, 3, 0)
-    with pytest.raises(DomainError):
-        arith.mod_pow(2, -1, 5)
 
 
 def test_is_prime_examples():

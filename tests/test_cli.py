@@ -11,7 +11,8 @@ CERT_41041 = solver.assemble([7, 11, 13, 41], AssemblySpec("erdos", 120, 0, 1, 1
 CERT_LINE = (
     '{"n":"41041","primes":["7","11","13","41"],"mode":"erdos","L":"0",'
     '"multiplier":"120","M":1,"a":1,"checks":{"composite":true,"squarefree":true,'
-    '"korselt":true,"residue_class":true,"probabilistic_primality_used":false}}'
+    '"korselt":true,"residue_class":true,"multiplier_congruence":true,'
+    '"probabilistic_primality_used":false}}'
 )
 
 
@@ -98,6 +99,9 @@ def test_cli_verify(capsys):
     assert json.loads(meta)["meta"]["command"] == "verify"
     cert = cli.parse_certificate(cert_line)
     assert cert.n == 561 and cert.prime_factors == (3, 11, 17) and cert.mode == "external"
+    # external certificates have no shared multiplier to check
+    assert list(cert.checks) == [
+        "composite", "squarefree", "korselt", "residue_class", "probabilistic_primality_used"]
     code, out, err = run_cli(capsys, "verify", "562")
     assert code == 1 and "not a Carmichael" in err
 
@@ -136,6 +140,7 @@ def test_cli_construct_residue_class(capsys):
     assert code == 0
     cert = cli.parse_certificate(out.splitlines()[1])
     assert cert.n == 1152271 and cert.n % 4 == 3
+    assert cert.checks["multiplier_congruence"] is True
 
 
 def test_cli_construct_zero_results(capsys):
@@ -171,6 +176,11 @@ def test_cli_solve(tmp_path, capsys):
     for e in row["elements"]:
         prod = prod * int(e) % 120
     assert prod == 1 and len(row["indices"]) >= 3
+    assert "max_size" not in json.loads(out.splitlines()[0])["meta"]
+    code, out, _ = run_cli(capsys, "solve", "--pool", str(pool_file), "--modulus", "120",
+                           "--target", "1", "--min-size", "3", "--max-size", "4")
+    meta, row = (json.loads(line) for line in out.splitlines())
+    assert code == 0 and meta["meta"]["max_size"] == 4 and len(row["indices"]) <= 4
     # products of >= 5 of these elements mod 120 form {7, 11, 13, 31, 41, 61, 91}
     code, _, err = run_cli(capsys, "solve", "--pool", str(pool_file),
                            "--modulus", "120", "--target", "17", "--min-size", "5")
@@ -208,3 +218,30 @@ def test_cli_repeat_run_byte_identical(capsys):
     a = run_cli(capsys, "construct", "--modulus", "4", "--residue", "3", "--lambda", "630")
     b = run_cli(capsys, "construct", "--modulus", "4", "--residue", "3", "--lambda", "630")
     assert a == b
+
+
+def test_cli_global_flags_after_subcommand(tmp_path, capsys):
+    before = run_cli(capsys, "--format", "csv", "--threads", "2",
+                     "census", "--limit", "10000", "--modulus", "4")
+    after = run_cli(capsys, "census", "--limit", "10000", "--modulus", "4",
+                    "--format", "csv", "--threads", "2")
+    assert before == after and before[0] == 0
+    assert cli.parse_args(["verify", "561", "--threads", "3"]).threads == 3
+    # a flag after the subcommand overrides the same flag before it
+    assert cli.parse_args(["--format", "csv", "verify", "561", "--format", "human"]).format == "human"
+    out_path = tmp_path / "out.txt"
+    code, out, _ = run_cli(capsys, "verify", "561", "--output", str(out_path))
+    assert code == 0 and out == ""
+    assert cli.parse_certificate(out_path.read_text(encoding="utf-8").splitlines()[1]).n == 561
+    with pytest.raises(SystemExit) as ei:
+        cli.parse_args(["verify", "561", "--threads", "0"])
+    assert ei.value.code == 2
+
+
+def test_cli_construct_erdos_never_claims_absence_wrongly(monkeypatch, capsys):
+    # a search that misses an existing subset must not be reported as proved empty
+    monkeypatch.setattr(cli, "subset_product_find", lambda *args, **kwargs: None)
+    with pytest.raises(AssertionError):
+        cli.main(["construct", "--modulus", "4", "--residue", "3", "--lambda", "630"])
+    assert "confirms none exists" not in capsys.readouterr().err
+

@@ -1,4 +1,4 @@
-"""Backend parity: the numba kernels and numpy fallbacks must agree exactly."""
+"""Kernel parity: each numpy kernel must agree exactly with a plain-Python loop oracle."""
 
 import math
 import random
@@ -22,6 +22,108 @@ def brute_lpf(n):
     return max(best, n) if n > 1 else best
 
 
+# ---------------------------------------------------------------------------
+# reference oracles: one element at a time, no vectorization
+
+
+def lpf_range_loops(lo, hi, base_primes):
+    n = hi - lo + 1
+    rem = [lo + i for i in range(n)]
+    lpf = [1] * n
+    for p in (int(p) for p in base_primes):
+        start = ((lo + p - 1) // p) * p
+        for v in range(start, hi + 1, p):
+            i = v - lo
+            r = rem[i]
+            while r % p == 0:
+                r //= p
+            rem[i] = r
+            lpf[i] = p
+    for i in range(n):
+        if rem[i] > 1:
+            lpf[i] = rem[i]
+    if lo <= 1 <= hi:
+        lpf[1 - lo] = 1
+    return np.array(lpf, dtype=np.int64)
+
+
+def carmichael_segment_loops(lo, hi, odd_primes):
+    n = (hi - lo + 1) // 2
+    rem = [lo + 2 * i for i in range(n)]
+    alive = [True] * n
+    nfac = [0] * n
+    for p in (int(p) for p in odd_primes):
+        start = ((lo + p - 1) // p) * p
+        if start % 2 == 0:
+            start += p
+        for v in range(start, hi, 2 * p):
+            i = (v - lo) // 2
+            if not alive[i]:
+                continue
+            r = rem[i] // p
+            if r % p == 0:
+                alive[i] = False  # not squarefree
+                continue
+            if (v - 1) % (p - 1) != 0:
+                alive[i] = False
+                continue
+            rem[i] = r
+            nfac[i] += 1
+    out = np.zeros(n, np.uint8)
+    for i in range(n):
+        if not alive[i]:
+            continue
+        v = lo + 2 * i
+        r = rem[i]
+        cnt = nfac[i]
+        if r > 1:
+            if r == v:
+                continue  # v is prime
+            if (v - 1) % (r - 1) != 0:
+                continue
+            cnt += 1
+        if cnt >= 2:
+            out[i] = 1
+    return out
+
+
+def dp_reach_loops(res, m, n_classes, capped, start):
+    n = len(res)
+    reach = np.zeros((n + 1, n_classes, m), np.bool_)
+    reach[0, 0, start] = True
+    for i in range(n):
+        p = int(res[i])
+        for c in range(n_classes):
+            for r in range(m):
+                if reach[i, c, r]:
+                    reach[i + 1, c, r] = True
+        for c in range(1, n_classes):
+            for r in range(m):
+                if reach[i, c - 1, r]:
+                    reach[i + 1, c, (r * p) % m] = True
+        if capped:
+            top = n_classes - 1
+            for r in range(m):
+                if reach[i, top, r]:
+                    reach[i + 1, top, (r * p) % m] = True
+    return reach
+
+
+def all_products_loops(res, m):
+    n = len(res)
+    prod = [1 % m] * (1 << n)
+    size = [0] * (1 << n)
+    for i, p in enumerate(res):
+        half = 1 << i
+        for j in range(half):
+            prod[half + j] = prod[j] * p % m
+            size[half + j] = size[j] + 1
+    return prod, size
+
+
+# ---------------------------------------------------------------------------
+
+
 def test_sieve_primes_matches_trial_division():
     primes = list(K.sieve_primes(500))
     for n in range(2, 501):
@@ -32,9 +134,9 @@ def test_sieve_primes_matches_trial_division():
 @pytest.mark.parametrize("lo,hi", [(1, 2000), (500, 4000), (99_990, 100_500), (2, 2)])
 def test_lpf_backends_agree_and_match_brute(lo, hi):
     base = K.sieve_primes(math.isqrt(hi))
-    out_np = K._lpf_range_numpy(lo, hi, base)
-    out_nb = K._lpf_range_loops(lo, hi, base)
-    assert np.array_equal(out_np, out_nb)
+    out_np = K.lpf_range(lo, hi, base)
+    out_ref = lpf_range_loops(lo, hi, base)
+    assert np.array_equal(out_np, out_ref)
     for i, n in enumerate(range(lo, hi + 1)):
         assert out_np[i] == brute_lpf(n), n
 
@@ -42,9 +144,9 @@ def test_lpf_backends_agree_and_match_brute(lo, hi):
 @pytest.mark.parametrize("lo,hi", [(3, 20001), (1_000_001, 1_100_001)])
 def test_carmichael_segment_backends_agree(lo, hi):
     odd_primes = K.sieve_primes(math.isqrt(hi - 1))[1:]
-    out_np = K._carmichael_segment_numpy(lo, hi, odd_primes)
-    out_nb = K._carmichael_segment_loops(lo, hi, odd_primes)
-    assert np.array_equal(out_np.astype(np.uint8), out_nb)
+    out_np = K.carmichael_segment(lo, hi, odd_primes)
+    out_ref = carmichael_segment_loops(lo, hi, odd_primes)
+    assert np.array_equal(out_np.astype(np.uint8), out_ref)
 
 
 def test_dp_reach_backends_agree():
@@ -53,12 +155,12 @@ def test_dp_reach_backends_agree():
         m = rng.randrange(2, 200)
         units = [u for u in range(1, m) if math.gcd(u, m) == 1]
         n = rng.randrange(1, 14)
-        res = np.array([rng.choice(units) for _ in range(n)], dtype=np.int64)
-        inv = np.array([pow(int(r), -1, m) for r in res], dtype=np.int64)
+        res = [rng.choice(units) for _ in range(n)]
+        inv = np.array([pow(r, -1, m) for r in res], dtype=np.int64)
         n_classes = rng.randrange(2, 5)
         capped = rng.random() < 0.5
-        a = K._dp_reach_numpy(res, inv, m, n_classes, capped, 1 % m)
-        b = K._dp_reach_loops(res, inv, m, n_classes, capped, 1 % m)
+        a = K.dp_reach(inv, m, n_classes, capped, 1 % m)
+        b = dp_reach_loops(res, m, n_classes, capped, 1 % m)
         assert np.array_equal(a, b)
 
 
@@ -68,45 +170,26 @@ def test_all_products_backends_agree_and_match_brute():
         m = rng.randrange(2, 5000)
         units = [u for u in range(1, m) if math.gcd(u, m) == 1]
         n = rng.randrange(1, 12)
-        res = np.array([rng.choice(units) for _ in range(n)], dtype=np.int64)
-        pa, sa = K._all_products_numpy(res, m)
-        pb, sb = K._all_products_loops(res, m)
-        assert np.array_equal(pa, pb) and np.array_equal(sa, sb)
+        res = [rng.choice(units) for _ in range(n)]
+        pa, sa = K.all_subset_products(res, m)
+        pb, sb = all_products_loops(res, m)
+        assert pa.dtype == np.int64
+        assert pa.tolist() == pb and sa.tolist() == sb
         for mask in range(1 << n):
             prod = 1
             for i in range(n):
                 if mask >> i & 1:
-                    prod = prod * int(res[i]) % m
+                    prod = prod * res[i] % m
             assert pa[mask] == prod
             assert sa[mask] == bin(mask).count("1")
 
 
-def test_backend_flag_reports():
-    assert K.backend_name() in ("numba", "numpy")
-
-
-def test_backend_env_selection():
-    import os
-    import subprocess
-    import sys
-
-    import carmkit
-
-    # the child must import the carmkit under test, installed or run from
-    # src/; the rest of the env stays minimal so no outer CARMKIT_KERNELS leaks
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(carmkit.__file__)))
-    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root}
-    probe = "from carmkit import _kernels; print(_kernels.backend_name())"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**env, "CARMKIT_KERNELS": "numpy"},
-        capture_output=True, text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
-    bad = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**env, "CARMKIT_KERNELS": "sparkles"},
-        capture_output=True, text=True,
-    )
-    assert bad.returncode != 0 and "CARMKIT_KERNELS" in bad.stderr, bad.stderr
+def test_all_products_big_modulus_matches_oracle():
+    # past the int64 limit the products are exact Python ints
+    rng = random.Random(29)
+    for m in (K.INT64_MOD_LIMIT, K.INT64_MOD_LIMIT + 1, 10**21 + 117, 2**89 - 1):
+        res = [rng.randrange(1, m) for _ in range(rng.randrange(1, 12))]
+        pa, sa = K.all_subset_products(res, m)
+        pb, sb = all_products_loops(res, m)
+        assert pa.dtype == object
+        assert pa.tolist() == pb and sa.tolist() == sb

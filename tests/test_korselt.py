@@ -122,4 +122,7 @@ def test_census_totals_match_enumerator():
 
 def test_census_domain():
     with pytest.raises(DomainError):
-        korselt.census(1000, 1)
+        korselt.census(1000, 0)
+    # modulus 1 is the single class 0
+    c = korselt.census(100_000, 1)
+    assert c.counts == {0: 16} and c.other == 0

@@ -154,29 +154,27 @@ def test_build_pool_invariants():
         assert p == d * st.k0 + 1
         assert p <= st.x and (params.M * st.L) % p != 0
         assert math.gcd((p - 1) // d, st.L) == 1
-    # strict flag must not change anything when gcd(k0, L) = 1
-    assert pipeline.build_pool(st, params, strict=True) == pipeline.build_pool(st, params)
 
 
 def test_erdos_pool_pinned():
-    assert pipeline.erdos_pool(120, 1, 1) == [7, 11, 13, 31, 41, 61]
+    assert pipeline.erdos_pool(120, 1) == [7, 11, 13, 31, 41, 61]
     # divisor-scan oracle value; includes 19 since 18 | 630
-    assert pipeline.erdos_pool(630, 1, 1) == [11, 19, 31, 43, 71, 127, 211, 631]
+    assert pipeline.erdos_pool(630, 1) == [11, 19, 31, 43, 71, 127, 211, 631]
     with pytest.raises(ConstructionError):
-        pipeline.erdos_pool(2, 1, 1)
+        pipeline.erdos_pool(2, 1)
     with pytest.raises(DomainError):
-        pipeline.erdos_pool(1, 1, 1)
+        pipeline.erdos_pool(1, 1)
 
 
 def test_erdos_pool_postconditions():
     for lam, M in [(120, 1), (630, 4), (198, 4), (2520, 11)]:
-        pool = pipeline.erdos_pool(lam, M, 1)
+        pool = pipeline.erdos_pool(lam, M)
         assert pool == sorted(pool)
         for p in pool:
             assert arith.is_prime(p)
             assert lam % (p - 1) == 0
             assert (lam * M) % p != 0
-    assert pipeline.erdos_pool(120, 1, 1, pool_cap=4) == [7, 11, 13, 31]
+    assert pipeline.erdos_pool(120, 1, pool_cap=4) == [7, 11, 13, 31]
 
 
 def test_construction_params_validation():

@@ -53,14 +53,6 @@ def test_compute_invariants_t_formula():
         solver.compute_invariants(spec_for(24), omega_L=2, x=2)
 
 
-def test_compute_invariants_log_base():
-    base_e = solver.compute_invariants(spec_for(24), omega_L=2, x=100)
-    base_2 = solver.compute_invariants(spec_for(24), omega_L=2, x=100, log_base=2.0)
-    assert base_2.s_G != base_e.s_G or base_2.t != base_e.t
-    explicit_e = solver.compute_invariants(spec_for(24), omega_L=2, x=100, log_base=math.e)
-    assert abs(explicit_e.t - base_e.t) < 1e-15
-
-
 def test_exact_identity_threshold_known_groups():
     # cyclic C_{phi(p)} for primes; rank-2 and rank-3 two-groups
     known = {3: 2, 5: 4, 7: 6, 9: 6, 13: 12, 8: 3, 15: 5, 16: 5, 24: 4, 32: 9, 36: 7}
@@ -327,6 +319,7 @@ def test_assemble_pinned():
         "squarefree": True,
         "korselt": True,
         "residue_class": True,
+        "multiplier_congruence": True,
         "probabilistic_primality_used": False,
     }
 
