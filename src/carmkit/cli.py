@@ -3,7 +3,8 @@
 Output is deterministic and machine-first: json-lines by default (big
 integers as decimal strings, never floats), csv and human formats on
 request. Exit codes: 0 = at least one result, 1 = completed empty,
-2 = usage error, 3 = capacity or infeasibility.
+2 = usage error, 3 = capacity or infeasibility, 4 = internal error (two
+independent computations disagreed).
 """
 
 from __future__ import annotations
@@ -182,6 +183,8 @@ def parse_args(argv) -> RunConfig:
             parser.error("--modulus must be >= 1")
         if ns.min_size < 1:
             parser.error("--min-size must be >= 1")
+        if ns.max_size is not None and ns.max_size < ns.min_size:
+            parser.error(f"--max-size {ns.max_size} is below --min-size {ns.min_size}")
         cfg.pool_file, cfg.modulus, cfg.target = ns.pool_file, ns.modulus, ns.target
         cfg.min_size, cfg.max_factors = ns.min_size, ns.max_size
     return cfg
@@ -432,6 +435,9 @@ def main(argv=None) -> int:
     except CarmkitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except AssertionError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -2,8 +2,10 @@
 
 The searches are explicit and complete: meet-in-the-middle for pools up to 40
 elements, a layered residue DP with witness reconstruction beyond that, and a
-full 2**n scan as the exhaustive oracle for small pools. A found subset is
-certified by independent re-checks before a certificate is emitted.
+full 2**n scan as the exhaustive oracle for small pools. Meet-in-the-middle
+sorts one half's subsets as (product, size, mask) keys and binary-searches
+them for each mask of the other half, in mask order, for any modulus. A found
+subset is certified by independent re-checks before a certificate is emitted.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .korselt import korselt_check
 MITM_LIMIT = 40
 ENUMERATE_LIMIT = 24
 DP_CELL_BOUND = 200_000_000
+_MITM_CHUNK = 1 << 14  # left masks looked up per searchsorted call
 
 
 @dataclass(frozen=True)
@@ -231,33 +234,34 @@ def _validate_pool(pool, modulus: int, min_size: int) -> list[int]:
 
 
 def _find_mitm(pool, modulus, target, min_size, max_size):
+    """First left mask (in mask order) with a right partner, and for it the
+    right mask of least size, then least mask, that completes the target."""
     n = len(pool)
     nb = n // 2
     left, right = pool[: n - nb], pool[n - nb :]
-
-    def mask_products(elems):
-        prods, sizes = _kernels.all_subset_products([e % modulus for e in elems], modulus)
-        return zip(prods.tolist(), sizes.tolist())
-
-    table: dict[int, dict[int, int]] = {}
-    for mask, (pr, sz) in enumerate(mask_products(right)):
-        sizes = table.setdefault(pr, {})
-        if sz not in sizes:
-            sizes[sz] = mask
     cap = max_size if max_size is not None else n
-    for lmask, (pr, sl) in enumerate(mask_products(left)):
-        if sl > cap:
-            continue
-        need = target * pow(pr, -1, modulus) % modulus
-        sizes = table.get(need)
-        if not sizes:
-            continue
-        for sr in sorted(sizes):
-            if min_size <= sl + sr <= cap:
-                rmask = sizes[sr]
-                idx = [i for i in range(len(left)) if lmask >> i & 1]
-                idx += [len(left) + i for i in range(len(right)) if rmask >> i & 1]
-                return tuple(idx)
+    # right half: one key per mask ordering (product, size, mask); the keys are
+    # distinct and, for int64 products (< 2**31, nb <= 20), below 2**56
+    w = nb + 1
+    rp, rs = _kernels.all_subset_products([e % modulus for e in right], modulus)
+    table = np.sort((rp * w + rs) << nb | np.arange(1 << nb))
+    # left half: the product each left mask needs from the right
+    inv, sizes = _kernels.all_subset_products([pow(e, -1, modulus) for e in left], modulus)
+    for start in range(0, inv.shape[0], _MITM_CHUNK):
+        base = inv[start : start + _MITM_CHUNK] * target % modulus * w
+        sl = sizes[start : start + _MITM_CHUNK].astype(np.int64)
+        # right sizes allowed; hi <= nb keeps each lookup inside its product's keys
+        lo = np.maximum(min_size - sl, 0)
+        hi = np.minimum(cap - sl, nb)
+        pos = np.searchsorted(table, (base + lo) << nb)
+        entry = table[np.minimum(pos, table.shape[0] - 1)]
+        hits = np.flatnonzero((lo <= hi) & (pos < table.shape[0]) & ((entry >> nb) <= base + hi))
+        if hits.size:
+            lmask = start + int(hits[0])
+            rmask = int(entry[hits[0]]) & ((1 << nb) - 1)
+            idx = [i for i in range(len(left)) if lmask >> i & 1]
+            idx += [len(left) + i for i in range(len(right)) if rmask >> i & 1]
+            return tuple(idx)
     return None
 
 
@@ -303,7 +307,12 @@ def subset_product_find(pool, modulus: int, target: int, min_size: int, max_size
     ``modulus``, with min_size <= size <= max_size, or None if none exists.
 
     Complete: meet-in-the-middle for pools up to 40 elements, residue DP with
-    witness reconstruction beyond that.
+    witness reconstruction beyond that. Meet-in-the-middle splits the pool into
+    a left and a right half, keeps the right half as a sorted array of
+    (product, size, mask) keys and scans the left masks in mask order; it
+    returns the first left mask that has a partner, with its least-size, then
+    least-mask right partner. Products are int64 below 2**31 and Python ints
+    above, so any modulus works.
     """
     pool = _validate_pool(pool, modulus, min_size)
     if max_size is not None and max_size < min_size:

@@ -241,7 +241,50 @@ def test_cli_global_flags_after_subcommand(tmp_path, capsys):
 def test_cli_construct_erdos_never_claims_absence_wrongly(monkeypatch, capsys):
     # a search that misses an existing subset must not be reported as proved empty
     monkeypatch.setattr(cli, "subset_product_find", lambda *args, **kwargs: None)
-    with pytest.raises(AssertionError):
-        cli.main(["construct", "--modulus", "4", "--residue", "3", "--lambda", "630"])
-    assert "confirms none exists" not in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "construct", "--modulus", "4", "--residue", "3",
+                             "--lambda", "630")
+    assert "confirms none exists" not in err
+    # an internal disagreement has its own exit code, never "completed empty"
+    assert code == 4 and out == ""
+    assert err == "internal error: subset search missed a subset the exhaustive scan finds\n"
+
+
+def test_cli_solve_max_size_below_min_size_is_usage_error():
+    for sizes in (("--min-size", "3", "--max-size", "2"), ("--min-size", "1", "--max-size", "0")):
+        with pytest.raises(SystemExit) as ei:
+            cli.parse_args(["solve", "--pool", "pool.txt", "--modulus", "120",
+                            "--target", "1", *sizes])
+        assert ei.value.code == 2
+    cfg = cli.parse_args(["solve", "--pool", "pool.txt", "--modulus", "120", "--target", "1",
+                          "--min-size", "3", "--max-size", "3"])
+    assert (cfg.min_size, cfg.max_factors) == (3, 3)
+
+
+# Witnesses of the benchmark-scale erdos construct (Lambda = 720720, M = 19, a
+# 40-prime pool), as (n, prime factors) per residue. A change to the order in
+# which the subset search meets its first hit changes these lines.
+ERDOS_19_WITNESSES = {
+    1: ("14380935262293601", (211, 331, 463, 521, 911, 937)),
+    2: ("6432714687932443168096477438801",
+        (23, 211, 313, 331, 337, 397, 463, 617, 631, 661, 881, 911)),
+    3: ("388109087867303857947372481",
+        (17, 23, 211, 281, 313, 421, 463, 521, 617, 911, 937)),
+}
+
+
+@pytest.mark.parametrize("a", sorted(ERDOS_19_WITNESSES))
+def test_cli_construct_pool_cap_40_witnesses_pinned(a, capsys):
+    n, primes = ERDOS_19_WITNESSES[a]
+    quoted = ",".join(f'"{p}"' for p in primes)
+    code, out, _ = run_cli(capsys, "construct", "--modulus", "19", "--residue", str(a),
+                           "--lambda", "720720", "--pool-cap", "40")
+    assert code == 0
+    assert out == (
+        '{"meta":{"command":"construct","format":"json-lines","modulus":19,'
+        f'"residue":{a},"mode":"erdos","lambda":720720,"pool_cap":40}}}}\n'
+        f'{{"n":"{n}","primes":[{quoted}],"mode":"erdos",'
+        f'"L":"0","multiplier":"720720","M":19,"a":{a},"checks":{{"composite":true,'
+        '"squarefree":true,"korselt":true,"residue_class":true,'
+        '"multiplier_congruence":true,"probabilistic_primality_used":false}}\n'
+    )
 

@@ -243,6 +243,100 @@ def test_subset_find_validation():
         solver.subset_product_find(list(range(3, 3 + 2 * 60, 2)), mersenne, 1, 3)
 
 
+# ---------------------------------------------------------------------------
+# reference oracle for the meet-in-the-middle search: a dict holding the first
+# right mask per (product, size), and the left masks walked one at a time
+
+
+def mask_products_loops(elems, modulus):
+    """(product mod modulus, size) for every subset mask of ``elems``, in mask order."""
+    out = [(1 % modulus, 0)]
+    for e in elems:
+        out += [(p * e % modulus, s + 1) for p, s in out]
+    return out
+
+
+def find_mitm_dict(pool, modulus, target, min_size, max_size=None):
+    n = len(pool)
+    nb = n // 2
+    left, right = pool[: n - nb], pool[n - nb :]
+    table = {}
+    for mask, (pr, sz) in enumerate(mask_products_loops(right, modulus)):
+        table.setdefault(pr, {}).setdefault(sz, mask)
+    cap = max_size if max_size is not None else n
+    target %= modulus
+    inverses = [pow(e, -1, modulus) for e in left]
+    for lmask, (inv, sl) in enumerate(mask_products_loops(inverses, modulus)):
+        if sl > cap:
+            continue
+        sizes = table.get(target * inv % modulus, {})
+        for sr in sorted(sizes):
+            if min_size <= sl + sr <= cap:
+                rmask = sizes[sr]
+                idx = [i for i in range(len(left)) if lmask >> i & 1]
+                idx += [len(left) + i for i in range(len(right)) if rmask >> i & 1]
+                return tuple(idx)
+    return None
+
+
+def mitm_case(rng, m, n, kind):
+    """A seeded pool of n units mod m, size bounds, and a target of one kind:
+    the product of a subset that fits the bounds, a random unit, or a non-unit
+    (unreachable unless m = 1)."""
+    pool = []
+    while len(pool) < n:
+        x = rng.randrange(1, max(m, 2))
+        if math.gcd(x, m) == 1:
+            pool.append(x)
+    min_size = rng.randint(1, 4)
+    max_size = rng.choice([None, rng.randint(min_size, max(n, min_size))])
+    if kind == "subset":
+        size = rng.randint(min(min_size, n), min(max_size or n, n))
+        target = math.prod(rng.sample(pool, size))
+    elif kind == "unit":
+        target = rng.choice(units_of(m) or [0]) if m <= 400 else rng.randrange(1, m)
+    else:
+        target = rng.randrange(m) * next(p for p in (2, 3, 5, 7, m) if m % p == 0)
+    return pool, m, target % m, min_size, max_size
+
+
+@pytest.mark.parametrize("moduli", [
+    (1,),
+    (12, 91, 120, 225, 391, 2520),  # small composites
+    (2**31 - 1, 2**31 - 9, 2**31 - 10**4),  # the largest int64 moduli
+    (10**21 + 117,),  # object dtype
+], ids=["one", "small", "below-2**31", "1e21+117"])
+def test_subset_find_mitm_matches_dict_oracle(moduli):
+    # not just a valid witness: the very index tuple the dict search returns
+    rng = random.Random(moduli[0])
+    kinds = ("subset", "unit", "unreachable")
+    for n in range(33):
+        for kind in kinds if n >= 30 else kinds[n % 3 : n % 3 + 1]:
+            case = mitm_case(rng, rng.choice(moduli), n, kind)
+            assert solver.subset_product_find(*case) == find_mitm_dict(*case), case
+
+
+@pytest.mark.parametrize("m", [3 * 715827881, 3 * (10**21 + 117)])
+@pytest.mark.parametrize("n", [30, 32])
+def test_subset_find_mitm_first_hit_past_first_chunk(m, n):
+    # every element is 1 mod 3 except the last left one, which is 2 mod 3; the
+    # target is 2 mod 3, so every hit takes that element and the first hit's
+    # left mask is at least 2**(n - n//2 - 1) >= the lookup chunk
+    rng = random.Random(n)
+    top = n - n // 2 - 1
+    pool = []
+    while len(pool) < n:
+        x = 3 * rng.randrange(1, m // 3) + (2 if len(pool) == top else 1)
+        if math.gcd(x, m) == 1:
+            pool.append(x)
+    others = rng.sample([i for i in range(n) if i != top], 6)
+    target = math.prod(pool[i] for i in (top, *others)) % m
+    got = solver.subset_product_find(pool, m, target, 3)
+    assert got == find_mitm_dict(pool, m, target, 3)
+    lmask = sum(1 << i for i in got if i <= top)
+    assert lmask >= solver._MITM_CHUNK
+
+
 def test_zero_sum_threshold_spotcheck():
     # pools of length s(G) always contain a subset with product 1 (searched
     # exactly); moduli picked with small exponent so s(G) stays desk-sized
