@@ -3,18 +3,17 @@
 Output is deterministic and machine-first: json-lines by default (big
 integers as decimal strings, never floats), csv and human formats on
 request. Exit codes: 0 = at least one result, 1 = completed empty,
-2 = usage error, 3 = capacity or infeasibility, 4 = internal error (two
-independent computations disagreed).
+2 = usage error (including out-of-range construct parameters, a malformed
+or unreadable pool file and an unwritable --output), 3 = capacity or
+infeasibility, 4 = internal error (two independent computations disagreed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factorize
@@ -46,40 +45,15 @@ from .solver import (
 FORMATS = ("json-lines", "csv", "human")
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    format: str = "json-lines"
-    output: str | None = None
-    threads: int = 1
-    n: int | None = None
-    limit: int | None = None
-    modulus: int | None = None
-    residue: int | None = None
-    mode: str = "erdos"
-    Lambda: int | None = None
-    y: int | None = None
-    theta: float | None = None
-    B: Fraction | None = None
-    x_cap: int | None = None
-    k_cap: int = 10_000
-    pool_cap: int | None = None
-    max_factors: int | None = None
-    pool_file: str | None = None
-    target: int | None = None
-    min_size: int = 3
-    qr_filter: bool = True
-    residue_filter: bool = True
+class UsageError(Exception):
+    """An input the command line names is unusable at run time (exit 2)."""
 
 
-def _default_threads() -> int:
-    env = os.environ.get("CARMKIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"must be a rational, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--format", choices=FORMATS, help="default json-lines")
     common.add_argument("--output", metavar="PATH")
-    common.add_argument("--threads", type=int, metavar="N")
+    common.add_argument("--threads", type=int, metavar="N", help="default: the CPU count")
     parser = argparse.ArgumentParser(
         prog="carmkit",
         description="Construct, search for, and certify Carmichael numbers in residue classes.",
@@ -114,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="smooth modulus for erdos mode")
     p.add_argument("--y", type=int, default=None)
     p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--B", type=str, default=None, help="rational in (0, 5/12), e.g. 0.4 or 2/5")
+    p.add_argument("--B", type=_rational, default=None, help="rational in (0, 5/12), e.g. 0.4 or 2/5")
     p.add_argument("--x-cap", dest="x_cap", type=int, default=None)
     p.add_argument("--k-cap", dest="k_cap", type=int, default=10_000)
     p.add_argument("--pool-cap", dest="pool_cap", type=int, default=None)
@@ -135,49 +109,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
+    """The run's configuration; construct mode also gets ``params``, the
+    ConstructionParams whose validation is the only check of its values."""
     parser = build_parser()
     ns = parser.parse_args(argv)
-    threads = getattr(ns, "threads", None)
-    if threads is not None and threads < 1:
+    ns.format = getattr(ns, "format", "json-lines")
+    ns.output = getattr(ns, "output", None)
+    ns.threads = getattr(ns, "threads", os.cpu_count() or 1)
+    if ns.threads < 1:
         parser.error("--threads must be >= 1")
-    cfg = RunConfig(subcommand=ns.subcommand, format=getattr(ns, "format", "json-lines"),
-                    output=getattr(ns, "output", None), threads=threads or _default_threads())
     if ns.subcommand == "verify":
         if ns.n < 1:
             parser.error("n must be >= 1")
-        cfg.n = ns.n
     elif ns.subcommand == "census":
         if ns.limit < 1:
             parser.error("--limit must be >= 1")
         if ns.modulus < 1:
             parser.error("--modulus must be >= 1")
-        cfg.limit, cfg.modulus = ns.limit, ns.modulus
     elif ns.subcommand == "construct":
-        if ns.modulus < 1:
-            parser.error("--modulus must be >= 1")
-        if math.gcd(ns.residue, ns.modulus) != 1:
-            parser.error(f"--residue {ns.residue} is not coprime to --modulus {ns.modulus}")
-        cfg.modulus, cfg.residue, cfg.mode = ns.modulus, ns.residue, ns.mode
-        cfg.Lambda, cfg.y, cfg.theta = ns.Lambda, ns.y, ns.theta
-        cfg.x_cap, cfg.k_cap, cfg.pool_cap = ns.x_cap, ns.k_cap, ns.pool_cap
-        cfg.max_factors = ns.max_factors
-        cfg.qr_filter, cfg.residue_filter = ns.qr_filter, ns.residue_filter
-        if ns.B is not None:
-            try:
-                cfg.B = Fraction(ns.B)
-            except (ValueError, ZeroDivisionError):
-                parser.error(f"--B must be a rational, got {ns.B!r}")
-        if ns.mode == "erdos" and (ns.Lambda is None or ns.Lambda < 2):
-            parser.error("erdos mode requires --lambda with a value >= 2")
-        if ns.mode == "agp" and (ns.y is None or ns.theta is None or cfg.B is None):
-            parser.error("agp mode requires --y, --theta and --B")
         if ns.max_factors is not None and ns.max_factors < 3:
             parser.error("--max-factors must be >= 3 (Carmichael numbers have >= 3 factors)")
-        if ns.k_cap < 1 or (ns.pool_cap is not None and ns.pool_cap < 1) or (
-            ns.x_cap is not None and ns.x_cap < 1
-        ):
-            parser.error("caps must be >= 1")
+        try:
+            ns.params = ConstructionParams(
+                M=ns.modulus, a=ns.residue, mode=ns.mode,
+                y=ns.y, theta=ns.theta, B=ns.B, Lambda=ns.Lambda,
+                caps=Caps(x_cap=ns.x_cap, k_cap=ns.k_cap, pool_cap=ns.pool_cap),
+                filters=PoolFilters(require_qr=ns.qr_filter, require_residue=ns.residue_filter),
+            )
+        except DomainError as e:
+            parser.error(str(e))
     elif ns.subcommand == "solve":
         if ns.modulus < 1:
             parser.error("--modulus must be >= 1")
@@ -185,9 +146,7 @@ def parse_args(argv) -> RunConfig:
             parser.error("--min-size must be >= 1")
         if ns.max_size is not None and ns.max_size < ns.min_size:
             parser.error(f"--max-size {ns.max_size} is below --min-size {ns.min_size}")
-        cfg.pool_file, cfg.modulus, cfg.target = ns.pool_file, ns.modulus, ns.target
-        cfg.min_size, cfg.max_factors = ns.min_size, ns.max_size
-    return cfg
+    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +226,7 @@ def emit_census(result: Census, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _meta(cfg: RunConfig) -> dict:
+def _meta(cfg: argparse.Namespace) -> dict:
     pairs = {
         "command": cfg.subcommand,
         "format": cfg.format,
@@ -291,12 +250,12 @@ def _meta(cfg: RunConfig) -> dict:
     elif cfg.subcommand == "solve":
         pairs.update(pool=cfg.pool_file, modulus=cfg.modulus,
                      target=str(cfg.target), min_size=cfg.min_size)
-        if cfg.max_factors is not None:
-            pairs["max_size"] = cfg.max_factors
+        if cfg.max_size is not None:
+            pairs["max_size"] = cfg.max_size
     return pairs
 
 
-def _header_lines(cfg: RunConfig) -> list[str]:
+def _header_lines(cfg: argparse.Namespace) -> list[str]:
     # thread_count deliberately omitted: output must not vary with it
     if cfg.format == "json-lines":
         return [json.dumps({"meta": _meta(cfg)}, separators=(",", ":"))]
@@ -308,7 +267,7 @@ def _header_lines(cfg: RunConfig) -> list[str]:
 # subcommand drivers; each returns (exit_code, output_lines)
 
 
-def _run_verify(cfg: RunConfig) -> tuple[int, list[str]]:
+def _run_verify(cfg: argparse.Namespace) -> tuple[int, list[str]]:
     n = cfg.n
     f = factorize(n)
     if not korselt_check(n, f):
@@ -318,15 +277,27 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list[str]]:
     return 0, [emit_certificate(cert, cfg.format)]
 
 
-def _run_census(cfg: RunConfig) -> tuple[int, list[str]]:
+def _run_census(cfg: argparse.Namespace) -> tuple[int, list[str]]:
     result = census(cfg.limit, cfg.modulus, threads=cfg.threads)
     text = emit_census(result, cfg.format)
     return (0 if result.total > 0 else 1), text.splitlines()
 
 
-def _construct_erdos(cfg: RunConfig) -> tuple[int, list[str]]:
-    pool = erdos_pool(cfg.Lambda, cfg.modulus, cfg.pool_cap)
-    target = derive_target(cfg.Lambda, cfg.modulus, cfg.residue)
+def _run_construct(cfg: argparse.Namespace) -> tuple[int, list[str]]:
+    params = cfg.params
+    M, a = params.M, params.a
+    # each mode yields its pool and the modulus L that n must be 1 modulo
+    if params.mode == "erdos":
+        pool = erdos_pool(params.Lambda, M, params.caps.pool_cap)
+        L, spec = params.Lambda, AssemblySpec("erdos", params.Lambda, 0, M, a)
+    else:
+        state = run_agp_construction(params)
+        pool = [p for p, _ in state.pool]
+        if len(pool) < 3:
+            print(f"pool of {len(pool)} primes is too small", file=sys.stderr)
+            return 1, []
+        L, spec = state.L, AssemblySpec("agp", state.k0, state.L, M, a)
+    target = derive_target(L, M, a)
     subset = subset_product_find(pool, target.modulus, target.h, 3, cfg.max_factors)
     if subset is None:
         note = ""
@@ -337,45 +308,28 @@ def _construct_erdos(cfg: RunConfig) -> tuple[int, list[str]]:
             note = f"; exhaustive scan of {2 ** len(pool)} subsets confirms none exists"
         print(f"no qualifying subset in pool of {len(pool)} primes{note}", file=sys.stderr)
         return 1, []
-    cert = assemble(
-        [pool[i] for i in subset],
-        AssemblySpec(mode="erdos", multiplier=cfg.Lambda, L=0, M=cfg.modulus, a=cfg.residue),
-    )
+    cert = assemble([pool[i] for i in subset], spec)
     return 0, [emit_certificate(cert, cfg.format)]
 
 
-def _construct_agp(cfg: RunConfig) -> tuple[int, list[str]]:
-    params = ConstructionParams(
-        M=cfg.modulus,
-        a=cfg.residue,
-        mode="agp",
-        y=cfg.y,
-        theta=cfg.theta,
-        B=cfg.B,
-        caps=Caps(x_cap=cfg.x_cap, k_cap=cfg.k_cap, pool_cap=cfg.pool_cap),
-        filters=PoolFilters(require_qr=cfg.qr_filter, require_residue=cfg.residue_filter),
-    )
-    state = run_agp_construction(params)
-    primes = [p for p, _ in state.pool]
-    if len(primes) < 3:
-        print(f"pool of {len(primes)} primes is too small", file=sys.stderr)
-        return 1, []
-    target = derive_target(state.L, cfg.modulus, cfg.residue)
-    subset = subset_product_find(primes, cfg.modulus * state.L, target.h, 3, cfg.max_factors)
-    if subset is None:
-        print(f"no qualifying subset in pool of {len(primes)} primes", file=sys.stderr)
-        return 1, []
-    cert = assemble(
-        [primes[i] for i in subset],
-        AssemblySpec(mode="agp", multiplier=state.k0, L=state.L, M=cfg.modulus, a=cfg.residue),
-    )
-    return 0, [emit_certificate(cert, cfg.format)]
+def _read_pool(path: str) -> list[int]:
+    # bytes, so that text that is not UTF-8 is one more line that is not an integer
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    pool = []
+    for lineno, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                pool.append(int(line))
+            except ValueError:
+                text = line.strip().decode(errors="replace")
+                raise UsageError(f"{path}:{lineno}: not an integer: {text}") from None
+    return pool
 
 
-def _run_solve(cfg: RunConfig) -> tuple[int, list[str]]:
-    with open(cfg.pool_file, encoding="utf-8") as fh:
-        pool = [int(line) for line in fh if line.strip()]
-    subset = subset_product_find(pool, cfg.modulus, cfg.target, cfg.min_size, cfg.max_factors)
+def _run_solve(cfg: argparse.Namespace) -> tuple[int, list[str]]:
+    pool = _read_pool(cfg.pool_file)
+    subset = subset_product_find(pool, cfg.modulus, cfg.target, cfg.min_size, cfg.max_size)
     if subset is None:
         print("no qualifying subset", file=sys.stderr)
         return 1, []
@@ -404,26 +358,26 @@ def _run_solve(cfg: RunConfig) -> tuple[int, list[str]]:
     return 0, [line]
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     driver = {
         "verify": _run_verify,
         "census": _run_census,
-        "construct": _construct_erdos if cfg.mode == "erdos" else _construct_agp,
+        "construct": _run_construct,
         "solve": _run_solve,
     }[cfg.subcommand]
     try:
         code, lines = driver(cfg)
+        out = "\n".join(_header_lines(cfg) + lines) + "\n"
+        if cfg.output:
+            with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(out)
     except (CapacityError, InfeasibleError, ConstructionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except OSError as e:
+    except (OSError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    out = "\n".join(_header_lines(cfg) + lines) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(out)
-    else:
+    if not cfg.output:
         sys.stdout.write(out)
     return code
 

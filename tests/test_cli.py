@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -27,7 +28,7 @@ def test_parse_args_examples():
     assert cfg.subcommand == "verify" and cfg.n == 561
     cfg = cli.parse_args(["census", "--limit", "10000", "--modulus", "4"])
     assert cfg.subcommand == "census" and cfg.limit == 10_000 and cfg.modulus == 4
-    assert cfg.format == "json-lines" and cfg.mode == "erdos"
+    assert cfg.format == "json-lines"
     with pytest.raises(SystemExit) as ei:
         cli.parse_args(["construct", "--modulus", "4", "--residue", "2"])
     assert ei.value.code == 2  # gcd(2, 4) != 1
@@ -44,11 +45,26 @@ def test_parse_args_rejects_unknown_flags():
     with pytest.raises(SystemExit):
         cli.parse_args(["construct", "--modulus", "1", "--residue", "1",
                         "--lambda", "120", "--max-factors", "2"])
+    # construct values the library's parameter objects reject are usage errors too
+    erdos = ["construct", "--modulus", "1", "--residue", "1", "--lambda", "120"]
+    agp = ["construct", "--mode", "agp", "--modulus", "1", "--residue", "1", "--y", "5"]
+    for argv in (
+        agp + ["--theta", "2.5", "--B", "0.4"],
+        agp + ["--theta", "1.5", "--B", "0.5"],
+        agp + ["--theta", "1.5", "--B", "x"],
+        erdos + ["--k-cap", "0"],
+        erdos + ["--pool-cap", "0"],
+        erdos + ["--x-cap", "0"],
+        ["construct", "--modulus", "1", "--residue", "1", "--lambda", "1"],
+        ["construct", "--modulus", "0", "--residue", "1", "--lambda", "120"],
+    ):
+        with pytest.raises(SystemExit) as ei:
+            cli.parse_args(argv)
+        assert ei.value.code == 2, argv
 
 
-def test_parse_args_threads_env(monkeypatch):
-    monkeypatch.setenv("CARMKIT_THREADS", "3")
-    assert cli.parse_args(["verify", "561"]).threads == 3
+def test_parse_args_threads_env():
+    assert cli.parse_args(["verify", "561"]).threads == (os.cpu_count() or 1)
     assert cli.parse_args(["--threads", "2", "verify", "561"]).threads == 2
 
 
@@ -153,6 +169,12 @@ def test_cli_construct_zero_results(capsys):
     code, out, err = run_cli(capsys, "construct", "--modulus", "1", "--residue", "1",
                              "--lambda", "12")
     assert code == 1 and "exhaustive scan" in err
+    # agp mode: a 3-prime pool with no qualifying subset, proved by the same scan
+    code, out, err = run_cli(capsys, "construct", "--mode", "agp", "--modulus", "3",
+                             "--residue", "2", "--y", "12", "--theta", "1.5", "--B", "2/5",
+                             "--x-cap", "10000", "--k-cap", "50",
+                             "--no-qr-filter", "--no-residue-filter")
+    assert code == 1 and "exhaustive scan of 8 subsets confirms none exists" in err
 
 
 def test_cli_construct_agp(capsys):
@@ -188,6 +210,22 @@ def test_cli_solve(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve", "--pool", str(tmp_path / "missing.txt"),
                            "--modulus", "120", "--target", "1", "--min-size", "1")
     assert code == 2
+    pool_file.write_text("7\n\nabc\n13\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", "--pool", str(pool_file),
+                             "--modulus", "120", "--target", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {pool_file}:3: not an integer: abc\n"
+    pool_file.write_bytes(b"7\r\n11\r\xff\xfe\n")
+    code, out, err = run_cli(capsys, "solve", "--pool", str(pool_file),
+                             "--modulus", "120", "--target", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {pool_file}:3: not an integer: \ufffd\ufffd\n"
+    # an integer that is not a unit mod the modulus is a domain error, not a usage error
+    pool_file.write_text("7\n10\n13\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", "--pool", str(pool_file),
+                             "--modulus", "120", "--target", "1")
+    assert (code, out) == (3, "")
+    assert "not coprime" in err
 
 
 def test_cli_capacity_exit_code(capsys):
@@ -202,6 +240,10 @@ def test_cli_output_file(tmp_path, capsys):
     content = out_path.read_text(encoding="utf-8")
     assert content.endswith("\n")
     assert cli.parse_certificate(content.splitlines()[1]).n == 561
+    # a directory is not a writable output file
+    code, out, err = run_cli(capsys, "--output", str(tmp_path), "verify", "561")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_cli_deterministic_across_threads(capsys):
@@ -257,7 +299,7 @@ def test_cli_solve_max_size_below_min_size_is_usage_error():
         assert ei.value.code == 2
     cfg = cli.parse_args(["solve", "--pool", "pool.txt", "--modulus", "120", "--target", "1",
                           "--min-size", "3", "--max-size", "3"])
-    assert (cfg.min_size, cfg.max_factors) == (3, 3)
+    assert (cfg.min_size, cfg.max_size) == (3, 3)
 
 
 # Witnesses of the benchmark-scale erdos construct (Lambda = 720720, M = 19, a
