@@ -30,7 +30,6 @@ from .pipeline import (
     ConstructionState,
     PoolFilters,
     build_L,
-    build_L_prime,
     build_pool,
     compute_x,
     erdos_pool,
@@ -38,7 +37,7 @@ from .pipeline import (
     is_qr_mod_L,
     run_agp_construction,
 )
-from .sieve import SmoothPrimeQuery, build_Q, count_smooth_primes, largest_prime_factor
+from .sieve import SmoothPrimeQuery, build_Q, count_smooth_primes
 from .solver import (
     AssemblySpec,
     CarmichaelCertificate,

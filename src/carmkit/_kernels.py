@@ -1,12 +1,16 @@
-"""Hot numeric kernels, vectorized with numpy.
+"""Hot numeric kernels, vectorized with numpy, and the segment driver.
 
 The sieves and the residue DP work on int64 arrays, so callers keep values
 < 2**62 and moduli < ``INT64_MOD_LIMIT`` where products are formed.
 ``all_subset_products`` falls back to object arrays (Python ints) for larger
 moduli; other arbitrary-precision paths live outside this module.
+``scan_segments`` runs a sieve over a long range one segment at a time, so
+memory stays O(segment).
 """
 
 from __future__ import annotations
+
+import concurrent.futures
 
 import numpy as np
 
@@ -23,6 +27,19 @@ def sieve_primes(limit: int) -> np.ndarray:
         if mask[p]:
             mask[p * p :: p] = False
     return np.flatnonzero(mask).astype(np.int64)
+
+
+def scan_segments(scan, start: int, stop: int, size: int, threads: int = 1) -> list:
+    """[scan(lo, hi) for consecutive pieces [lo, hi) of [start, stop)], in order.
+
+    Each piece holds ``size`` integers, the last one possibly fewer.
+    """
+    segs = [(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
+    if threads <= 1:
+        # a one-worker pool made small census runs 15-100% slower; stay inline
+        return [scan(lo, hi) for lo, hi in segs]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda seg: scan(*seg), segs))
 
 
 def lpf_range(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ factorizations are rebuilt one by one.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,13 +39,6 @@ def fermat_witness(n: int, a: int) -> bool:
     return pow(a, n, n) == a % n
 
 
-def _segments(start: int, stop: int, size: int):
-    lo = start
-    while lo < stop:
-        yield lo, min(lo + size, stop)
-        lo += size
-
-
 def enumerate_carmichael(
     limit: int, *, segment_size: int = DEFAULT_SEGMENT, threads: int = 1
 ) -> list[tuple[int, Factorization]]:
@@ -57,21 +49,13 @@ def enumerate_carmichael(
         return []
     segment_size += segment_size % 2  # keep segment starts odd
     odd_primes = _kernels.sieve_primes(math.isqrt(limit - 1))[1:]  # drop 2
-    segs = list(_segments(3, limit, segment_size))
 
-    def scan(seg):
-        lo, hi = seg
+    def scan(lo, hi):
         flags = _kernels.carmichael_segment(lo, hi, odd_primes)
         return lo + 2 * np.flatnonzero(flags)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hit_arrays = list(pool.map(scan, segs))
-    else:
-        hit_arrays = [scan(s) for s in segs]
-
     out: list[tuple[int, Factorization]] = []
-    for arr in hit_arrays:
+    for arr in _kernels.scan_segments(scan, 3, limit, segment_size, threads):
         for n in (int(v) for v in arr):
             f = factorize(n)
             if not korselt_check(n, f):  # sieve and oracle must agree

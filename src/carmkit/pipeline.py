@@ -5,13 +5,12 @@ a squarefree modulus L built from shifted-smooth primes, optionally filtered
 to quadratic residues mod L and to a residue class mod M. In "erdos" mode a
 directly chosen smooth modulus Lambda replaces that parameterization and the
 pool holds primes p with p-1 | Lambda; this is the default desk-scale path
-since the faithful x = ceil((M*L')**(2/B)) is astronomically large even for
+since the faithful x = ceil((M*L)**(2/B)) is astronomically large even for
 tiny prime sets.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -19,8 +18,6 @@ from fractions import Fraction
 from .arith import Factorization, divisors, factorize, is_prime, jacobi, nth_root_floor
 from .errors import CapacityError, ConstructionError, DomainError
 from .sieve import SmoothPrimeQuery, build_Q
-
-log = logging.getLogger(__name__)
 
 X_MAX_BITS = 1_000_000
 
@@ -91,7 +88,6 @@ class ConstructionState:
     """
 
     Q: tuple[int, ...]
-    L_prime: int
     x_faithful: int | None
     x_faithful_log2: float
     x: int
@@ -100,17 +96,6 @@ class ConstructionState:
     k0: int
     k0_count: int
     pool: tuple[tuple[int, int], ...]
-
-
-def build_L_prime(Q) -> int:
-    """Product of the smooth-shifted primes."""
-    Q = list(Q)
-    if not Q:
-        raise ConstructionError("no usable primes at these parameters")
-    out = 1
-    for q in Q:
-        out *= q
-    return out
 
 
 def _as_fraction(B) -> Fraction:
@@ -122,14 +107,14 @@ def _as_fraction(B) -> Fraction:
     return Fraction(B)
 
 
-def compute_x(M: int, L_prime: int, B, *, max_bits: int = X_MAX_BITS) -> int:
-    """ceil((M*L_prime)**(2/B)) with exact integer root/power arithmetic."""
+def compute_x(M: int, L: int, B, *, max_bits: int = X_MAX_BITS) -> int:
+    """ceil((M*L)**(2/B)) with exact integer root/power arithmetic."""
     B = _as_fraction(B)
     if not 0 < B < Fraction(5, 12):
         raise DomainError(f"B must lie in (0, 5/12), got {B}")
-    base = M * L_prime
+    base = M * L
     if base < 1:
-        raise DomainError("M * L_prime must be >= 1")
+        raise DomainError("M * L must be >= 1")
     exp = 2 / B  # exact Fraction
     work_bits = base.bit_length() * exp.numerator
     if work_bits > max_bits:
@@ -144,20 +129,17 @@ def compute_x(M: int, L_prime: int, B, *, max_bits: int = X_MAX_BITS) -> int:
     return root + 1
 
 
-def faithful_x_log2(M: int, L_prime: int, B) -> float:
+def faithful_x_log2(M: int, L: int, B) -> float:
     """log2 of the uncapped x, for recording when the exact value is oversized."""
-    return math.log2(M * L_prime) * float(2 / _as_fraction(B))
+    return math.log2(M * L) * float(2 / _as_fraction(B))
 
 
-def build_L(Q, excluded) -> tuple[int, Factorization]:
-    """Product over Q minus the excluded set, with its factorization."""
-    kept = sorted(q for q in Q if q not in set(excluded))
-    if not kept:
-        raise ConstructionError("excluding those primes empties L")
-    L = 1
-    for q in kept:
-        L *= q
-    return L, Factorization.of((q, 1) for q in kept)
+def build_L(Q) -> tuple[int, Factorization]:
+    """Product of the smooth-shifted primes, with its factorization."""
+    Q = sorted(Q)
+    if not Q:
+        raise ConstructionError("no usable primes at these parameters")
+    return math.prod(Q), Factorization.of((q, 1) for q in Q)
 
 
 def is_qr_mod_L(p: int, L_fact: Factorization) -> bool:
@@ -223,8 +205,6 @@ def build_pool(state: ConstructionState, params: ConstructionParams) -> list[tup
     out.sort()
     if params.caps.pool_cap is not None:
         out = out[: params.caps.pool_cap]
-    if len(out) < 3:
-        log.warning("pool has only %d primes; cannot form a Carmichael number", len(out))
     return out
 
 
@@ -252,15 +232,15 @@ def erdos_pool(Lambda: int, M: int, pool_cap: int | None = None) -> list[int]:
 
 
 def run_agp_construction(params: ConstructionParams) -> ConstructionState:
-    """The full agp-mode pipeline at desk scale: Q, L', x, L, k0, pool."""
+    """The full agp-mode pipeline at desk scale: Q, L, x, k0, pool."""
     if params.mode != "agp":
         raise DomainError("run_agp_construction requires agp-mode params")
     Q = build_Q(SmoothPrimeQuery(params.y, params.theta, params.M))
-    L_prime = build_L_prime(Q)
-    log2x = faithful_x_log2(params.M, L_prime, params.B)
+    L, L_fact = build_L(Q)
+    log2x = faithful_x_log2(params.M, L, params.B)
     x_faithful: int | None
     try:
-        x_faithful = compute_x(params.M, L_prime, params.B)
+        x_faithful = compute_x(params.M, L, params.B)
     except CapacityError:
         x_faithful = None
     if params.caps.x_cap is not None:
@@ -269,11 +249,9 @@ def run_agp_construction(params: ConstructionParams) -> ConstructionState:
         x = x_faithful
     else:
         raise CapacityError("faithful x is oversized and no caps.x_cap was provided")
-    L, L_fact = build_L(Q, set())
     k0, count = find_k0(L_fact, x, params.M, params.a, params.filters, params.caps.k_cap)
     state = ConstructionState(
         Q=tuple(Q),
-        L_prime=L_prime,
         x_faithful=x_faithful,
         x_faithful_log2=log2x,
         x=x,

@@ -17,6 +17,7 @@ from .arith import euler_phi, factorize
 from .errors import CapacityError, DomainError
 
 SIEVE_CAPACITY = 100_000_000
+WINDOW_SEGMENT = 1 << 21  # integers per lpf window
 
 
 @dataclass(frozen=True)
@@ -44,23 +45,23 @@ class SmoothPrimeQuery:
         return math.floor(self.y**self.theta)
 
 
-def largest_prime_factor(n: int) -> int:
-    """P(n): the largest prime dividing n, with P(1) = 1 by convention."""
-    if n < 1:
-        raise DomainError(f"largest_prime_factor requires n >= 1, got {n}")
-    if n == 1:
-        return 1
-    return factorize(n).primes()[-1]
+def _smooth_primes(start: int, stop: int, d: int, b: int, v: int) -> np.ndarray:
+    """Primes q in [start, stop) with q = b (mod d) and P(q-1) <= v, ascending.
 
+    Sieved in windows of WINDOW_SEGMENT integers, so memory stays O(segment).
+    """
+    start = max(start, 2)  # q - 1 >= 1, where lpf_range is defined
+    if start >= stop:
+        return np.empty(0, dtype=np.int64)
+    base = _kernels.sieve_primes(math.isqrt(stop - 1))
 
-def lpf_table(lo: int, hi: int) -> np.ndarray:
-    """Largest-prime-factor values for [lo, hi] via a windowed sieve."""
-    if lo < 1 or hi < lo:
-        raise DomainError(f"bad window [{lo}, {hi}]")
-    if hi > SIEVE_CAPACITY:
-        raise CapacityError(f"window end {hi} exceeds sieve capacity {SIEVE_CAPACITY}")
-    base = _kernels.sieve_primes(math.isqrt(hi))
-    return _kernels.lpf_range(lo, hi, base)
+    def scan(lo, hi):
+        # P(q-1) sits one slot before P(q), also at a window's first q
+        table = _kernels.lpf_range(lo - 1, hi - 1, base)
+        q = np.arange(lo, hi, dtype=np.int64)
+        return q[(table[1:] == q) & (table[:-1] <= v) & (q % d == b % d)]
+
+    return np.concatenate(_kernels.scan_segments(scan, start, stop, WINDOW_SEGMENT))
 
 
 def build_Q(query: SmoothPrimeQuery) -> list[int]:
@@ -70,21 +71,10 @@ def build_Q(query: SmoothPrimeQuery) -> list[int]:
     for every q returned.
     """
     lo, hi = query.window_low, query.window_high
-    if lo > hi:
-        return []
     if hi > SIEVE_CAPACITY:
         raise CapacityError(f"window end {hi} exceeds sieve capacity {SIEVE_CAPACITY}")
-    phi_M = euler_phi(factorize(query.M))
-    c = 4 * phi_M
-    base_lo = max(lo - 1, 1)
-    table = lpf_table(base_lo, hi)
-    vals = np.arange(base_lo, hi + 1, dtype=np.int64)
-    is_p = table == vals
-    mask = is_p & (vals >= max(lo, 2)) & (vals % c == c - 1)
-    # q-1 sits one slot earlier in the same table
-    mask[0] = False
-    mask[1:] &= table[:-1] <= query.y
-    return [q for q in vals[mask].tolist() if query.M % q != 0]
+    c = 4 * euler_phi(factorize(query.M))
+    return [q for q in _smooth_primes(lo, hi + 1, c, c - 1, query.y).tolist() if query.M % q != 0]
 
 
 def count_smooth_primes(z: int, v: int, d: int, b: int) -> int:
@@ -93,13 +83,4 @@ def count_smooth_primes(z: int, v: int, d: int, b: int) -> int:
         raise DomainError(f"modulus d must be >= 1, got {d}")
     if z > SIEVE_CAPACITY:
         raise CapacityError(f"bound {z} exceeds sieve capacity {SIEVE_CAPACITY}")
-    if z <= 2:
-        return 0
-    table = lpf_table(1, z - 1)
-    vals = np.arange(1, z, dtype=np.int64)
-    is_p = table == vals
-    is_p[0] = False  # 1 is not prime
-    mask = is_p & (vals % d == b % d)
-    # P(q-1) sits one slot earlier; P(1) = 1 covers the q = 2 slot
-    mask[1:] &= table[:-1] <= v
-    return int(np.count_nonzero(mask))
+    return int(_smooth_primes(2, z, d, b, v).size)

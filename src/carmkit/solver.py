@@ -41,6 +41,7 @@ MITM_LIMIT = 40
 ENUMERATE_LIMIT = 24
 DP_CELL_BOUND = 200_000_000
 _MITM_CHUNK = 1 << 14  # left masks looked up per searchsorted call
+_SCAN_BLOCK = 1 << 14  # masks formed per step of the exhaustive scan
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,6 @@ class ResidueTarget:
 
     h: int
     modulus: int
-    mod_L: int
-    mod_M: int
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ def derive_target(L: int, M: int, a: int) -> ResidueTarget:
         raise InfeasibleError(
             f"no element is 1 mod {L} and {a} mod {M}: gcd({L}, {M}) does not divide {a - 1}"
         ) from e
-    return ResidueTarget(h=h, modulus=modulus, mod_L=1 % L, mod_M=a % M)
+    return ResidueTarget(h=h, modulus=modulus)
 
 
 def derive_target_exponent(p: int, L_fact: Factorization, M: int) -> int:
@@ -328,16 +327,29 @@ def subset_product_find(pool, modulus: int, target: int, min_size: int, max_size
 def subset_product_enumerate(
     pool, modulus: int, target: int, min_size: int, max_size: int | None = None
 ) -> list[tuple[int, ...]]:
-    """Every qualifying index subset, by full 2**n scan (n <= 24)."""
+    """Every qualifying index subset, by full 2**n scan (n <= 24), ascending by mask.
+
+    The low half's products are built once and multiplied by a block of high
+    masks' products at a time, so memory stays O(_SCAN_BLOCK).
+    """
     pool = _validate_pool(pool, modulus, min_size)
     n = len(pool)
     if n > ENUMERATE_LIMIT:
         raise CapacityError(f"pool size {n} exceeds exhaustive-scan cap {ENUMERATE_LIMIT}")
     target %= modulus
     cap = max_size if max_size is not None else n
-    prods, sizes = _kernels.all_subset_products([p % modulus for p in pool], modulus)
-    masks = np.flatnonzero((prods == target) & (sizes >= min_size) & (sizes <= cap))
-    return [tuple(i for i in range(n) if mask >> i & 1) for mask in masks.tolist()]
+    nl = (n + 1) // 2
+    lp, ls = _kernels.all_subset_products([p % modulus for p in pool[:nl]], modulus)
+    hp, hs = _kernels.all_subset_products([p % modulus for p in pool[nl:]], modulus)
+    rows = max(_SCAN_BLOCK >> nl, 1)  # high masks per block
+    masks: list[int] = []
+    for h in range(0, hp.shape[0], rows):
+        # row r, column l is mask (h + r) << nl | l
+        prods = hp[h : h + rows, None] * lp % modulus
+        sizes = hs[h : h + rows, None] + ls
+        hit = (prods == target) & (sizes >= min_size) & (sizes <= cap)
+        masks += (np.flatnonzero(hit) + (h << nl)).tolist()
+    return [tuple(i for i in range(n) if mask >> i & 1) for mask in masks]
 
 
 @dataclass(frozen=True)

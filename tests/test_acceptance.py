@@ -199,7 +199,7 @@ def test_criterion_8_size_bound_suite():
     for y in (50, 100, 200):
         for theta in (1.2, 1.5, 1.8):
             Q = sieve.build_Q(SmoothPrimeQuery(y, theta, 1))
-            L, L_fact = pipeline.build_L(Q, set())
+            L, L_fact = pipeline.build_L(Q)
             lam = arith.carmichael_lambda(L_fact)
             lam_cap = int(mp.ceil(mp.exp(2 * theta * y)))
             lam_ok = lam <= lam_cap

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,14 +180,18 @@ def test_cli_construct_zero_results(capsys):
     assert code == 1 and "exhaustive scan of 8 subsets confirms none exists" in err
 
 
-def test_cli_construct_agp(capsys):
-    code, out, err = run_cli(capsys, "construct", "--modulus", "1", "--residue", "1",
-                             "--mode", "agp", "--y", "5", "--theta", "1.5", "--B", "0.4",
-                             "--x-cap", "40", "--k-cap", "10",
-                             "--no-qr-filter", "--no-residue-filter")
+def test_cli_construct_agp():
+    # a fresh interpreter, where no test harness configures logging
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-m", "carmkit", "construct", "--modulus", "1", "--residue", "1",
+         "--mode", "agp", "--y", "5", "--theta", "1.5", "--B", "0.4",
+         "--x-cap", "40", "--k-cap", "10", "--no-qr-filter", "--no-residue-filter"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
     # toy pool is {3, 23}: too small, completes with zero results
-    assert code == 1
-    assert "too small" in err
+    assert out.returncode == 1
+    assert out.stderr == "pool of 2 primes is too small\n"
 
 
 def test_cli_solve(tmp_path, capsys):

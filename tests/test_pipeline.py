@@ -1,4 +1,3 @@
-import logging
 import math
 from fractions import Fraction
 
@@ -35,14 +34,6 @@ def brute_find_k0(L, x, M, a, k_cap, **filters):
     return best
 
 
-def test_build_L_prime():
-    assert pipeline.build_L_prime([7, 11]) == 77
-    assert pipeline.build_L_prime([3]) == 3
-    assert pipeline.build_L_prime([7, 11, 19]) == 1463
-    with pytest.raises(ConstructionError):
-        pipeline.build_L_prime([])
-
-
 def test_compute_x_examples():
     assert pipeline.compute_x(4, 21, Fraction(2, 5)) == 84**5 == 4182119424
     assert pipeline.compute_x(1, 1, Fraction(2, 5)) == 1
@@ -69,12 +60,20 @@ def test_compute_x_capacity_and_domain():
         pipeline.compute_x(1, 2, Fraction(1, 2))
 
 
-def test_build_L():
-    assert pipeline.build_L([7, 11], set())[0] == 77
-    L, f = pipeline.build_L([7, 11, 19], {19})
-    assert L == 77 and f.pairs == ((7, 1), (11, 1))
+def test_build_L_prime():
+    # the paper's L' = prod(Q); build_L computes it and L is taken equal to it
+    assert pipeline.build_L([7, 11])[0] == 77
+    assert pipeline.build_L([3])[0] == 3
+    assert pipeline.build_L([7, 11, 19])[0] == 1463
     with pytest.raises(ConstructionError):
-        pipeline.build_L([3, 7], {3, 7})
+        pipeline.build_L([])
+
+
+def test_build_L():
+    L, f = pipeline.build_L([11, 7, 19])
+    assert L == 1463 and f.pairs == ((7, 1), (11, 1), (19, 1))
+    L, f = pipeline.build_L([3])
+    assert L == 3 and f.pairs == ((3, 1),)
 
 
 def test_is_qr_mod_L_examples():
@@ -126,7 +125,7 @@ def test_find_k0_errors():
 def _state(L, k0, x):
     Lf = arith.factorize(L)
     return ConstructionState(
-        Q=tuple(Lf.primes()), L_prime=L, x_faithful=x, x_faithful_log2=math.log2(x),
+        Q=tuple(Lf.primes()), x_faithful=x, x_faithful_log2=math.log2(x),
         x=x, L=L, L_fact=Lf, k0=k0, k0_count=0, pool=())
 
 
@@ -135,14 +134,11 @@ def _params(**filters):
                               filters=PoolFilters(**filters))
 
 
-def test_build_pool_pinned(caplog):
+def test_build_pool_pinned():
     assert pipeline.build_pool(_state(15, 2, 40), _params()) == [(7, 3), (11, 5), (31, 15)]
     assert pipeline.build_pool(_state(15, 2, 40), _params(require_qr=True)) == [(31, 15)]
-    with caplog.at_level(logging.WARNING, logger="carmkit.pipeline"):
-        # p = d*k0+1 over d | 3 gives only p = 2 here; 4 is not prime
-        pool = pipeline.build_pool(_state(3, 1, 10), _params())
-    assert pool == [(2, 1)]
-    assert any("cannot form a Carmichael" in r.message for r in caplog.records)
+    # p = d*k0+1 over d | 3 gives only p = 2 here; 4 is not prime
+    assert pipeline.build_pool(_state(3, 1, 10), _params()) == [(2, 1)]
 
 
 def test_build_pool_invariants():
@@ -194,7 +190,7 @@ def test_run_agp_construction_toy():
         caps=Caps(x_cap=40, k_cap=10), filters=PoolFilters())
     st = pipeline.run_agp_construction(params)
     assert st.Q == (7, 11)
-    assert st.L_prime == 77 and st.L == 77
+    assert st.L == 77
     assert st.x == 40  # capped
     assert st.x_faithful == pipeline.compute_x(1, 77, Fraction(2, 5))
     # over L = 77, x = 40: k = 2 yields {3, 23}, the best count
@@ -216,7 +212,7 @@ def test_lambda_and_L_size_bounds_light():
     mp = pytest.importorskip("mpmath")
     y, theta = 50, 1.5
     Q = pipeline.build_Q(pipeline.SmoothPrimeQuery(y, theta, 1))
-    L, Lf = pipeline.build_L(Q, set())
+    L, Lf = pipeline.build_L(Q)
     assert math.log(L) <= 1.02 * y**theta
     lam = arith.carmichael_lambda(Lf)
     mp.mp.dps = 60

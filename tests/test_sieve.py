@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -30,24 +31,6 @@ def brute_Q(y, theta, M):
             continue
         out.append(q)
     return out
-
-
-def test_largest_prime_factor_examples():
-    assert sieve.largest_prime_factor(1) == 1
-    assert sieve.largest_prime_factor(28) == 7
-    assert sieve.largest_prime_factor(12) == 3
-    with pytest.raises(DomainError):
-        sieve.largest_prime_factor(0)
-
-
-def test_lpf_table_matches_factorize():
-    table = sieve.lpf_table(1, 3000)
-    for n in range(1, 3001):
-        assert table[n - 1] == brute_lpf(n), n
-    lo, hi = 99_990, 100_100
-    table = sieve.lpf_table(lo, hi)
-    for n in range(lo, hi + 1):
-        assert table[n - lo] == brute_lpf(n), n
 
 
 def test_build_Q_examples():
@@ -94,6 +77,33 @@ def test_count_smooth_primes_brute():
 
     for z, v, d, b in [(50, 5, 3, 1), (200, 7, 4, 3), (300, 300, 1, 0), (100, 2, 2, 1)]:
         assert sieve.count_smooth_primes(z, v, d, b) == brute(z, v, d, b)
+
+
+def test_smooth_windows_across_segment_edges(monkeypatch):
+    # odd window length, so window starts alternate parity and some are prime
+    # (67 = 2 + 65 starts the second window of a count; 66 ends the first)
+    monkeypatch.setattr(sieve, "WINDOW_SEGMENT", 65)
+    cases = [(5, 1.5, 1), (7, 1.8, 3), (20, 1.5, 1), (50, 1.5, 1), (50, 1.2, 4),
+             (30, 1.9, 5), (100, 1.5, 6)]
+    for y, theta, M in cases:
+        assert sieve.build_Q(SmoothPrimeQuery(y, theta, M)) == brute_Q(y, theta, M), (y, theta, M)
+    primes = [q for q in range(2, 3000) if brute_is_prime(q)]
+    for z in (67, 68, 132, 3000):
+        for v, d, b in [(7, 1, 0), (11, 1, 0), (13, 4, 3), (3000, 6, 1), (2, 2, 1)]:
+            want = sum(1 for q in primes if q < z and q % d == b % d and brute_lpf(q - 1) <= v)
+            assert sieve.count_smooth_primes(z, v, d, b) == want, (z, v, d, b)
+
+
+def test_count_smooth_primes_memory_is_one_window(monkeypatch):
+    # 16 windows of 2**16: the whole-range table alone would be 8 MiB
+    monkeypatch.setattr(sieve, "WINDOW_SEGMENT", 1 << 16)
+    tracemalloc.start()
+    try:
+        assert sieve.count_smooth_primes(1 << 20, 100, 4, 3) == 3719
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20, peak
 
 
 def test_count_smooth_primes_monotone():

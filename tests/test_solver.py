@@ -1,10 +1,12 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from carmkit import arith, solver
+from carmkit import _kernels, arith, solver
 from carmkit.errors import (
     AssemblyError,
     CapacityError,
@@ -170,6 +172,36 @@ def test_subset_enumerate_against_brute_randomized():
         assert sorted(solver.subset_product_enumerate(pool, m, target, min_s, max_s)) == sorted(
             brute_subsets(pool, m, target, min_s, max_s)
         )
+
+
+def test_subset_enumerate_blocks_keep_mask_order():
+    # 20 elements span several blocks of high masks; the whole 2**20 table is the oracle
+    rng = random.Random(53)
+    m = 9973 * 7
+    units = units_of(m)
+    pool = [rng.choice(units) for _ in range(20)]
+    target = pool[2] * pool[11] * pool[17] % m
+    prods, sizes = _kernels.all_subset_products(pool, m)
+    masks = np.flatnonzero((prods == target) & (sizes >= 2) & (sizes <= 6)).tolist()
+    want = [tuple(i for i in range(20) if mask >> i & 1) for mask in masks]
+    assert len(want) > 1
+    assert solver.subset_product_enumerate(pool, m, target, 2, 6) == want
+
+
+def test_subset_enumerate_memory_above_int64_moduli():
+    # moduli >= 2**31 hold products as Python ints: all 2**18 at once take ~16 MiB
+    # (18, not 20 elements: tracemalloc slows each Python-int product ~40x)
+    pool = [p for p in range(3, 80, 2) if arith.is_prime(p)][:18]
+    m = (1 << 32) + 15
+    target = pool[1] * pool[4] * pool[9] * pool[15] * pool[17] % m
+    tracemalloc.start()
+    try:
+        hits = solver.subset_product_enumerate(pool, m, target, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits == [(1, 4, 9, 15, 17)]
+    assert peak < 8 << 20, peak
 
 
 def test_subset_find_agrees_with_enumerate():
@@ -360,7 +392,7 @@ def test_size_bounds_on_smooth_groups():
 
     for y, theta in [(50, 1.2), (50, 1.5), (100, 1.5), (200, 1.8)]:
         Q = sieve.build_Q(sieve.SmoothPrimeQuery(y, theta, 1))
-        _, L_fact = pipeline.build_L(Q, set())
+        _, L_fact = pipeline.build_L(Q)
         spec = GroupSpec.from_modulus_fact(L_fact)
         inv = solver.compute_invariants(spec, omega_L=len(Q), x=3)
         assert math.log(inv.s_G) <= 7 * theta * y, (y, theta)
