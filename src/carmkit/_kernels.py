@@ -1,6 +1,6 @@
 """Hot numeric kernels, vectorized with numpy, and the segment driver.
 
-The sieves and the residue DP work on int64 arrays, so callers keep values
+The sieves and the unit-group DP work on int64 arrays, so callers keep values
 < 2**62 and moduli < ``INT64_MOD_LIMIT`` where products are formed.
 ``all_subset_products`` falls back to object arrays (Python ints) for larger
 moduli; other arbitrary-precision paths live outside this module.
@@ -107,25 +107,29 @@ def carmichael_segment(lo: int, hi: int, odd_primes: np.ndarray) -> np.ndarray:
     return out.astype(np.uint8)
 
 
-def dp_reach(inv: np.ndarray, m: int, n_classes: int, capped: bool, start: int) -> np.ndarray:
-    """Layered reachability table for subset products mod m with size classes.
+def dp_reach(
+    inv: np.ndarray, units: np.ndarray, index: np.ndarray, n_classes: int, capped: bool
+) -> np.ndarray:
+    """Layered reachability table for subset products in the unit group mod m.
 
-    Item i is the residue whose inverse mod m is ``inv[i]``; layer i holds
-    states over the first i items. Class c counts chosen items, with the top
-    class saturating when ``capped``.
+    ``units`` lists the units of Z/m in ascending order and ``index`` (m
+    entries) maps each unit to its position there; the last axis of the table
+    runs over these phi(m) unit indices. Item i is the unit whose inverse mod m
+    is ``inv[i]``; layer i holds the products reachable from 1 with the first
+    i items. Class c counts chosen items, with the top class saturating when
+    ``capped``.
     """
+    m = index.shape[0]
     n = inv.shape[0]
-    reach = np.zeros((n + 1, n_classes, m), dtype=bool)
-    reach[0, 0, start] = True
-    idx = np.arange(m, dtype=np.int64)
+    reach = np.zeros((n + 1, n_classes, units.shape[0]), dtype=bool)
+    reach[0, 0, index[1 % m]] = True
     for i in range(n):
-        perm = idx * inv[i] % m  # source residue for each target residue
-        cur = reach[i]
-        nxt = cur.copy()
-        nxt[1:] |= cur[:-1][:, perm]
+        perm = np.take(index, units * inv[i] % m)  # source unit for each target unit
+        cur, nxt = reach[i], reach[i + 1]
+        nxt[0] = cur[0]
+        np.logical_or(cur[1:], np.take(cur[:-1], perm, axis=1), out=nxt[1:])
         if capped:
-            nxt[-1] |= cur[-1][perm]
-        reach[i + 1] = nxt
+            nxt[-1] |= np.take(cur[-1], perm)
     return reach
 
 

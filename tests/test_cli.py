@@ -1,7 +1,10 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -321,19 +324,101 @@ ERDOS_19_WITNESSES = {
 }
 
 
-@pytest.mark.parametrize("a", sorted(ERDOS_19_WITNESSES))
-def test_cli_construct_pool_cap_40_witnesses_pinned(a, capsys):
-    n, primes = ERDOS_19_WITNESSES[a]
+def erdos_lines(M, a, Lambda, n, primes, pool_cap=None):
+    """The exact stdout of an erdos construct that certifies ``n``."""
     quoted = ",".join(f'"{p}"' for p in primes)
-    code, out, _ = run_cli(capsys, "construct", "--modulus", "19", "--residue", str(a),
-                           "--lambda", "720720", "--pool-cap", "40")
-    assert code == 0
-    assert out == (
-        '{"meta":{"command":"construct","format":"json-lines","modulus":19,'
-        f'"residue":{a},"mode":"erdos","lambda":720720,"pool_cap":40}}}}\n'
+    cap = "" if pool_cap is None else f',"pool_cap":{pool_cap}'
+    return (
+        '{"meta":{"command":"construct","format":"json-lines","modulus":%d,' % M
+        + f'"residue":{a},"mode":"erdos","lambda":{Lambda}{cap}}}}}\n'
         f'{{"n":"{n}","primes":[{quoted}],"mode":"erdos",'
-        f'"L":"0","multiplier":"720720","M":19,"a":{a},"checks":{{"composite":true,'
+        f'"L":"0","multiplier":"{Lambda}","M":{M},"a":{a},"checks":{{"composite":true,'
         '"squarefree":true,"korselt":true,"residue_class":true,'
         '"multiplier_congruence":true,"probabilistic_primality_used":false}}\n'
     )
 
+
+@pytest.mark.parametrize("a", sorted(ERDOS_19_WITNESSES))
+def test_cli_construct_pool_cap_40_witnesses_pinned(a, capsys):
+    n, primes = ERDOS_19_WITNESSES[a]
+    code, out, _ = run_cli(capsys, "construct", "--modulus", "19", "--residue", str(a),
+                           "--lambda", "720720", "--pool-cap", "40")
+    assert code == 0
+    assert out == erdos_lines(19, a, 720720, n, primes, pool_cap=40)
+
+
+# Witnesses of the DP-sized erdos construct (Lambda = 65520, M = 11: a 41-prime
+# pool searched by the unit-group DP mod 720720), as (n, prime factors) per
+# residue. They match the all-residue DP the unit-group table replaced.
+ERDOS_11_WITNESSES = {
+    1: ("12026646712081", (17, 19, 29, 31, 61, 71, 73, 131)),
+    2: ("75151441", (17, 19, 29, 71, 113)),
+    3: ("120794452571521", (41, 53, 73, 127, 157, 181, 211)),
+    4: ("443401918174444321", (17, 19, 29, 31, 37, 73, 113, 131, 181, 211)),
+    5: ("121194695447281", (17, 31, 41, 61, 71, 73, 113, 157)),
+    6: ("335642734654849441", (17, 19, 31, 41, 61, 73, 79, 113, 131, 157)),
+    7: ("8083655798401", (29, 31, 53, 73, 113, 131, 157)),
+    8: ("6828471333159250321", (17, 37, 41, 61, 71, 79, 113, 157, 181, 241)),
+    9: ("166813424738971921", (17, 29, 31, 37, 41, 61, 73, 79, 113, 181)),
+    10: ("1347465927815281", (17, 19, 31, 41, 53, 61, 71, 79, 181)),
+}
+
+
+@pytest.mark.parametrize("a", sorted(ERDOS_11_WITNESSES))
+def test_cli_construct_dp_witnesses_pinned(a, capsys):
+    n, primes = ERDOS_11_WITNESSES[a]
+    code, out, err = run_cli(capsys, "construct", "--modulus", "11", "--residue", str(a),
+                             "--lambda", "65520")
+    assert (code, err) == (0, "")
+    assert out == erdos_lines(11, a, 65520, n, primes)
+
+
+def test_cli_construct_full_720720_pool_certifies(capsys):
+    # all 75 primes with p - 1 | 720720: 4 * 76 * phi(720720) = 42e6 table cells
+    code, out, err = run_cli(capsys, "construct", "--modulus", "1", "--residue", "0",
+                             "--lambda", "720720")
+    assert (code, err) == (0, "")
+    assert out == erdos_lines(1, 0, 720720, "12026646712081",
+                              (17, 19, 29, 31, 61, 71, 73, 131))
+
+
+def test_cli_dp_capacity_guard_allocates_nothing(tmp_path, capsys):
+    # 2**31 - 1 is prime: a 41-element pool would need 42 * 4 * (2**31 - 2) cells
+    pool_file = tmp_path / "pool.txt"
+    pool_file.write_text("".join(f"{e}\n" for e in range(2, 43)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "solve", "--pool", str(pool_file),
+                                 "--modulus", str((1 << 31) - 1), "--target", "5")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert f"(> {solver.DP_CELL_BOUND})" in err
+    assert peak < 4 << 20, peak
+    # the full 74-prime pool mod lcm(720720, 19): 4 * 75 * 2488320 cells on the units
+    code, out, err = run_cli(capsys, "construct", "--modulus", "19", "--residue", "1",
+                             "--lambda", "720720")
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: DP table would need 760189680 cells (> {solver.DP_CELL_BOUND}); "
+        "reduce the pool\n"
+    )
+
+
+def test_cli_solve_dp_non_unit_target(tmp_path, capsys):
+    # a product of units is a unit: target 3 mod 15 is out of reach of any pool
+    rng = random.Random(59)
+    pool_file = tmp_path / "pool.txt"
+    units = [u for u in range(15) if math.gcd(u, 15) == 1]
+    pool_file.write_text("".join(f"{rng.choice(units) + 15 * i}\n" for i in range(45)),
+                         encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", "--pool", str(pool_file),
+                             "--modulus", "15", "--target", "3")
+    assert (code, err) == (1, "no qualifying subset\n")
+    assert len(out.splitlines()) == 1  # the meta header alone
+    # mod 1 the only residue, 0, is a unit and every subset of 3 or more qualifies
+    code, out, _ = run_cli(capsys, "solve", "--pool", str(pool_file),
+                           "--modulus", "1", "--target", "0")
+    assert code == 0
+    assert len(json.loads(out.splitlines()[1])["indices"]) >= 3

@@ -253,6 +253,23 @@ def test_subset_find_dp_none_agrees_with_mitm():
     assert solver.subset_product_find(pool[:20], m, 3, 1) is None  # MITM path agrees
 
 
+def test_subset_find_dp_non_unit_target():
+    # a product of units is a unit, so a non-unit target is unreachable
+    rng = random.Random(53)
+    pool = [rng.choice(units_of(15)) for _ in range(45)]
+    assert solver.subset_product_find(pool, 15, 3, 1) is None
+    assert solver.subset_product_find(pool, 15, 10, 1, 7) is None
+    # decided before any table is sized: this modulus is far too large for one
+    big = 2 * ((1 << 61) - 1)
+    odd = list(range(3, 3 + 2 * 45, 2))
+    assert solver.subset_product_find(odd, big, 6, 3) is None
+    with pytest.raises(CapacityError):
+        solver.subset_product_find(odd, big, 5, 3)
+    # mod 1 the one residue, 0, is a unit
+    got = solver.subset_product_find(pool, 1, 0, 3)
+    assert got is not None and len(got) >= 3
+
+
 def test_subset_find_trivial_modulus():
     # everything is congruent mod 1; any subset of the right size qualifies
     got = solver.subset_product_find([5, 9, 14], 1, 0, 2)
