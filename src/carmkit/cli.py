@@ -17,13 +17,7 @@ import sys
 from fractions import Fraction
 
 from .arith import factorize
-from .errors import (
-    CapacityError,
-    CarmkitError,
-    ConstructionError,
-    DomainError,
-    InfeasibleError,
-)
+from .errors import CarmkitError, DomainError
 from .korselt import Census, census, korselt_check
 from .pipeline import (
     Caps,
@@ -371,9 +365,6 @@ def run(cfg: argparse.Namespace) -> int:
         if cfg.output:
             with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(out)
-    except (CapacityError, InfeasibleError, ConstructionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except (OSError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

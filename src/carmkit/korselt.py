@@ -18,6 +18,7 @@ from .arith import Factorization, factorize
 from .errors import CapacityError, DomainError
 
 ENUMERATION_CAP = 100_000_000
+CENSUS_MODULUS_CAP = 1_000_000
 DEFAULT_SEGMENT = 1 << 20
 
 
@@ -86,6 +87,8 @@ def census(limit: int, M: int, *, threads: int = 1) -> Census:
     """Bucket the Carmichael numbers below ``limit`` by residue mod M (M >= 1)."""
     if M < 1:
         raise DomainError(f"census requires modulus >= 1, got {M}")
+    if M > CENSUS_MODULUS_CAP:
+        raise CapacityError(f"modulus {M} exceeds census modulus cap {CENSUS_MODULUS_CAP}")
     counts = {a: 0 for a in range(M) if math.gcd(a, M) == 1}
     other = 0
     for n, _ in enumerate_carmichael(limit, threads=threads):

@@ -1,18 +1,20 @@
 """Construction pipeline: smooth primes -> modulus L -> multiplier k0 -> prime pool.
 
-Two modes. In "agp" mode the pool holds primes p = d*k0 + 1 over divisors d of
-a squarefree modulus L built from shifted-smooth primes, optionally filtered
-to quadratic residues mod L and to a residue class mod M. In "erdos" mode a
-directly chosen smooth modulus Lambda replaces that parameterization and the
-pool holds primes p with p-1 | Lambda; this is the default desk-scale path
-since the faithful x = ceil((M*L)**(2/B)) is astronomically large even for
-tiny prime sets.
+Two modes. In "agp" mode the pool holds primes p = d*k0 + 1 <= x over divisors
+d of a squarefree modulus L built from shifted-smooth primes, optionally
+filtered to quadratic residues mod L and to a residue class mod M; one walk
+over the divisors below x both scores each multiplier k and lists the pool at
+k0. In "erdos" mode a directly chosen smooth modulus Lambda replaces that
+parameterization and the pool holds primes p with p-1 | Lambda; this is the
+default desk-scale path since the faithful x = ceil((M*L)**(2/B)) is
+astronomically large even for tiny prime sets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import Factorization, divisors, factorize, is_prime, jacobi, nth_root_floor
@@ -20,6 +22,7 @@ from .errors import CapacityError, ConstructionError, DomainError
 from .sieve import SmoothPrimeQuery, build_Q
 
 X_MAX_BITS = 1_000_000
+DIVISOR_CAP = 2**17  # divisors one pool walk or erdos_pool may list
 
 
 @dataclass(frozen=True)
@@ -39,8 +42,8 @@ class Caps:
     pool_cap: int | None = None
 
     def __post_init__(self):
-        if self.x_cap is not None and self.x_cap < 1:
-            raise DomainError("x_cap must be >= 1")
+        if self.x_cap is not None and self.x_cap < 2:
+            raise DomainError("x_cap must be >= 2")
         if self.k_cap < 1:
             raise DomainError("k_cap must be >= 1")
         if self.pool_cap is not None and self.pool_cap < 1:
@@ -69,6 +72,8 @@ class ConstructionParams:
         if self.mode == "agp":
             if self.y is None or self.theta is None or self.B is None:
                 raise DomainError("agp mode requires y, theta and B")
+            if self.y < 2:
+                raise DomainError(f"y must be >= 2, got {self.y}")
             if not 0 < self.B < Fraction(5, 12):
                 raise DomainError(f"B must lie in (0, 5/12), got {self.B}")
             if not 1 < self.theta < 2:
@@ -151,39 +156,54 @@ def is_qr_mod_L(p: int, L_fact: Factorization) -> bool:
     return all(jacobi(p, q) == 1 for q in L_fact.primes())
 
 
-def _qualifying(d: int, k: int, x: int, M: int, a: int, L: int, L_fact: Factorization, filters: PoolFilters) -> int | None:
-    p = d * k + 1
-    if p > x or not is_prime(p):
-        return None
-    if (M * L) % p == 0:
-        return None
-    if filters.require_qr and not is_qr_mod_L(p, L_fact):
-        return None
-    if filters.require_residue and p % M != a % M:
-        return None
-    return p
+def _pool_pairs(
+    L_fact: Factorization, x: int, k: int, M: int, a: int, filters: PoolFilters
+) -> list[tuple[int, int]]:
+    """All (p, d) with d | L, p = d*k + 1 <= x prime, p coprime to M*L and
+    passing the enabled filters, ascending in d (so in p).
+
+    Only the divisors with d*k + 1 <= x are formed, as subset products of the
+    primes of squarefree L, so the walk costs what lies below x, not 2^omega(L).
+    """
+    if not L_fact.is_squarefree:
+        raise DomainError("L must be squarefree")
+    bound = (x - 1) // k
+    divs = [1] if bound >= 1 else []
+    for q in L_fact.primes():
+        divs = sorted(divs + [d * q for d in divs[: bisect_right(divs, bound // q)]])
+        if len(divs) > DIVISOR_CAP:
+            raise CapacityError(
+                f"L has more divisors d with d*{k}+1 <= x than the divisor cap {DIVISOR_CAP}")
+    ML = M * L_fact.value()
+    out = []
+    for d in divs:
+        p = d * k + 1
+        if (is_prime(p) and ML % p != 0
+                and (not filters.require_qr or is_qr_mod_L(p, L_fact))
+                and (not filters.require_residue or p % M == a % M)):
+            out.append((p, d))
+    return out
 
 
 def find_k0(
     L_fact: Factorization, x: int, M: int, a: int, filters: PoolFilters, k_cap: int
 ) -> tuple[int, int]:
-    """Scan k = 1..k_cap coprime to L for the k giving the most primes d*k+1.
+    """Scan k = 1..k_cap coprime to L for the k giving the most pool primes.
 
-    Counts divisors d | L with p = d*k+1 prime, p <= x, p coprime to M*L, and
-    passing the enabled filters. Smallest k wins ties. Raises if every k
-    yields zero.
+    A k counts the pairs _pool_pairs keeps for it: divisors d | L with
+    p = d*k+1 prime, p <= x, p coprime to M*L, passing the enabled filters.
+    Smallest k wins ties. Raises if every k yields zero.
     """
     if x < 2:
         raise DomainError(f"x must be >= 2, got {x}")
     if k_cap < 1:
         raise DomainError(f"k_cap must be >= 1, got {k_cap}")
     L = L_fact.value()
-    divs = divisors(L_fact)
     best_k, best_count = 0, 0
     for k in range(1, k_cap + 1):
         if math.gcd(k, L) != 1:
             continue
-        count = sum(1 for d in divs if _qualifying(d, k, x, M, a, L, L_fact, filters) is not None)
+        count = len(_pool_pairs(L_fact, x, k, M, a, filters))
         if count > best_count:
             best_k, best_count = k, count
     if best_count == 0:
@@ -191,21 +211,15 @@ def find_k0(
     return best_k, best_count
 
 
-def build_pool(state: ConstructionState, params: ConstructionParams) -> list[tuple[int, int]]:
-    """All (p, d) with d | L, p = d*k0 + 1 passing the filters, ascending in p.
+def build_pool(
+    L_fact: Factorization, x: int, k0: int, params: ConstructionParams
+) -> list[tuple[int, int]]:
+    """The first caps.pool_cap pairs (p, d) of the k0 pool, ascending in p.
 
-    gcd((p-1)/d, L) = gcd(k0, L) = 1 holds for every entry, since find_k0
-    only picks k0 coprime to L.
+    gcd((p-1)/d, L) = gcd(k0, L) = 1 holds for every entry when k0 comes
+    from find_k0, which only picks k0 coprime to L.
     """
-    out = []
-    for d in divisors(state.L_fact):
-        p = _qualifying(d, state.k0, state.x, params.M, params.a, state.L, state.L_fact, params.filters)
-        if p is not None:
-            out.append((p, d))
-    out.sort()
-    if params.caps.pool_cap is not None:
-        out = out[: params.caps.pool_cap]
-    return out
+    return _pool_pairs(L_fact, x, k0, params.M, params.a, params.filters)[: params.caps.pool_cap]
 
 
 def erdos_pool(Lambda: int, M: int, pool_cap: int | None = None) -> list[int]:
@@ -216,14 +230,13 @@ def erdos_pool(Lambda: int, M: int, pool_cap: int | None = None) -> list[int]:
     """
     if Lambda < 2:
         raise DomainError(f"Lambda must be >= 2, got {Lambda}")
-    pool = []
-    for d in divisors(factorize(Lambda)):
-        p = d + 1
-        if is_prime(p) and (Lambda * M) % p != 0:
-            pool.append(p)
-    pool.sort()
-    if pool_cap is not None:
-        pool = pool[:pool_cap]
+    f = factorize(Lambda)
+    n_divisors = math.prod(e + 1 for _, e in f)
+    if n_divisors > DIVISOR_CAP:
+        raise CapacityError(
+            f"Lambda {Lambda} has {n_divisors} divisors, over the divisor cap {DIVISOR_CAP}")
+    LM = Lambda * M
+    pool = [d + 1 for d in divisors(f) if is_prime(d + 1) and LM % (d + 1) != 0][:pool_cap]
     if len(pool) < 3:
         raise ConstructionError(
             f"only {len(pool)} primes p with p-1 | {Lambda}; need at least 3"
@@ -250,7 +263,7 @@ def run_agp_construction(params: ConstructionParams) -> ConstructionState:
     else:
         raise CapacityError("faithful x is oversized and no caps.x_cap was provided")
     k0, count = find_k0(L_fact, x, params.M, params.a, params.filters, params.caps.k_cap)
-    state = ConstructionState(
+    return ConstructionState(
         Q=tuple(Q),
         x_faithful=x_faithful,
         x_faithful_log2=log2x,
@@ -259,6 +272,5 @@ def run_agp_construction(params: ConstructionParams) -> ConstructionState:
         L_fact=L_fact,
         k0=k0,
         k0_count=count,
-        pool=(),
+        pool=tuple(build_pool(L_fact, x, k0, params)),
     )
-    return replace(state, pool=tuple(build_pool(state, params)))

@@ -68,13 +68,14 @@ def build_Q(query: SmoothPrimeQuery) -> list[int]:
     """Primes q in the query window with q ∤ M, q = -1 mod 4*phi(M), P(q-1) <= y.
 
     The congruence makes (q-1)/2 = -1 mod phi(M), so gcd((q-1)/2, phi(M)) = 1
-    for every q returned.
+    for every q returned. It also gives q ∤ M: q | M would make q-1 divide
+    phi(M), and 4*phi(M) divides q+1, so 4(q-1) <= q+1, impossible for q >= 2.
     """
     lo, hi = query.window_low, query.window_high
     if hi > SIEVE_CAPACITY:
         raise CapacityError(f"window end {hi} exceeds sieve capacity {SIEVE_CAPACITY}")
     c = 4 * euler_phi(factorize(query.M))
-    return [q for q in _smooth_primes(lo, hi + 1, c, c - 1, query.y).tolist() if query.M % q != 0]
+    return _smooth_primes(lo, hi + 1, c, c - 1, query.y).tolist()
 
 
 def count_smooth_primes(z: int, v: int, d: int, b: int) -> int:

@@ -163,13 +163,13 @@ def exact_identity_threshold(modulus: int, *, max_group: int = 36) -> int:
     identity-product subset (exhaustive search; unit groups of order <= 36)."""
     if modulus < 1:
         raise DomainError(f"modulus must be >= 1, got {modulus}")
+    order = euler_phi(factorize(modulus))
+    if order > max_group:
+        raise CapacityError(f"group order {order} exceeds exhaustive cap {max_group}")
     units = [a for a in range(1, modulus) if math.gcd(a, modulus) == 1] or [0]
-    if len(units) > max_group:
-        raise CapacityError(f"group order {len(units)} exceeds exhaustive cap {max_group}")
     elems = [u for u in units if u != 1 % modulus]
     if not elems:
         return 1
-    order = len(units)
     memo: dict[tuple[frozenset, int], int] = {}
 
     def extend(products: frozenset, start: int) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from carmkit import cli, solver
+from carmkit import cli, korselt, pipeline, solver
 from carmkit.errors import DomainError
 from carmkit.korselt import Census, census
 from carmkit.solver import AssemblySpec
@@ -61,6 +61,9 @@ def test_parse_args_rejects_unknown_flags():
         erdos + ["--k-cap", "0"],
         erdos + ["--pool-cap", "0"],
         erdos + ["--x-cap", "0"],
+        erdos + ["--x-cap", "1"],  # find_k0 needs x >= 2
+        ["construct", "--mode", "agp", "--modulus", "1", "--residue", "1", "--y", "1",
+         "--theta", "1.5", "--B", "0.4"],
         ["construct", "--modulus", "1", "--residue", "1", "--lambda", "1"],
         ["construct", "--modulus", "0", "--residue", "1", "--lambda", "120"],
     ):
@@ -197,6 +200,96 @@ def test_cli_construct_agp():
     assert out.stderr == "pool of 2 primes is too small\n"
 
 
+# One agp construct per benchmark stratum, and the 21-prime y = 60 request, as
+# (arguments after "--mode agp", exit code, stdout, stderr), captured from the
+# implementation that tested all 2**|Q| divisors of L: a divisor walk that
+# drops, adds or reorders a pool prime changes them.
+AGP_PINNED = {
+    "k0-y40": (
+        '--modulus 1 --residue 0 --y 40 --theta 1.5 --B 2/5 --x-cap 10000000000'
+        ' --k-cap 60 --pool-cap 28 --no-qr-filter --no-residue-filter',
+        1,
+        '{"meta":{"command":"construct","format":"json-lines","modulus":1,"residue":0'
+        ',"mode":"agp","y":40,"theta":1.5,"B":"2/5","x_cap":10000000000,"k_cap":60'
+        ',"qr_filter":false,"residue_filter":false,"pool_cap":28}}\n',
+        'no qualifying subset in pool of 28 primes\n',
+    ),
+    "pool-m3": (
+        '--modulus 3 --residue 2 --y 40 --theta 1.5 --B 2/5 --x-cap 1000000000000'
+        ' --k-cap 100 --pool-cap 30 --no-qr-filter --no-residue-filter',
+        1,
+        '{"meta":{"command":"construct","format":"json-lines","modulus":3,"residue":2'
+        ',"mode":"agp","y":40,"theta":1.5,"B":"2/5","x_cap":1000000000000,"k_cap":100'
+        ',"qr_filter":false,"residue_filter":false,"pool_cap":30}}\n',
+        'no qualifying subset in pool of 30 primes\n',
+    ),
+    "pool-m4": (
+        '--modulus 4 --residue 3 --y 40 --theta 1.5 --B 2/5 --x-cap 1000000000000'
+        ' --k-cap 100 --pool-cap 30 --no-qr-filter --no-residue-filter',
+        1,
+        '{"meta":{"command":"construct","format":"json-lines","modulus":4,"residue":3'
+        ',"mode":"agp","y":40,"theta":1.5,"B":"2/5","x_cap":1000000000000,"k_cap":100'
+        ',"qr_filter":false,"residue_filter":false,"pool_cap":30}}\n',
+        'no qualifying subset in pool of 30 primes\n',
+    ),
+    "pool-y30": (
+        '--modulus 1 --residue 0 --y 30 --theta 1.3 --B 2/5 --x-cap 1000000000000'
+        ' --k-cap 200 --pool-cap 30 --no-qr-filter --no-residue-filter',
+        1,
+        '{"meta":{"command":"construct","format":"json-lines","modulus":1,"residue":0'
+        ',"mode":"agp","y":30,"theta":1.3,"B":"2/5","x_cap":1000000000000,"k_cap":200'
+        ',"qr_filter":false,"residue_filter":false,"pool_cap":30}}\n',
+        'no qualifying subset in pool of 30 primes\n',
+    ),
+    "pool-y40": (
+        '--modulus 1 --residue 0 --y 40 --theta 1.3 --B 2/5 --x-cap 1000000000000'
+        ' --k-cap 100 --pool-cap 30 --no-qr-filter --no-residue-filter',
+        1,
+        '{"meta":{"command":"construct","format":"json-lines","modulus":1,"residue":0'
+        ',"mode":"agp","y":40,"theta":1.3,"B":"2/5","x_cap":1000000000000,"k_cap":100'
+        ',"qr_filter":false,"residue_filter":false,"pool_cap":30}}\n',
+        'no qualifying subset in pool of 30 primes\n',
+    ),
+    "filtered": (
+        '--modulus 3 --residue 1 --y 40 --theta 1.5 --B 2/5 --x-cap 1000000000000'
+        ' --k-cap 100 --pool-cap 32',
+        1,
+        '{"meta":{"command":"construct","format":"json-lines","modulus":3,"residue":1'
+        ',"mode":"agp","y":40,"theta":1.5,"B":"2/5","x_cap":1000000000000,"k_cap":100'
+        ',"qr_filter":true,"residue_filter":true,"pool_cap":32}}\n',
+        'no qualifying subset in pool of 4 primes; exhaustive scan of'
+        ' 16 subsets confirms none exists\n',
+    ),
+    "y60": (
+        '--modulus 1 --residue 0 --y 60 --theta 1.5 --B 2/5 --x-cap 10000000000'
+        ' --k-cap 20 --no-qr-filter --no-residue-filter',
+        3,
+        '',
+        'error: modulus 207776993597299087225227240574204362673117987'
+        '496803 is too large for the residue DP; reduce the pool to <= 40\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(AGP_PINNED))
+def test_cli_construct_agp_pinned(name, capsys):
+    args, code, out, err = AGP_PINNED[name]
+    assert run_cli(capsys, "construct", "--mode", "agp", *args.split()) == (code, out, err)
+
+
+def test_agp_pool_walk_memory_bounded():
+    # 6920 of the 2**21 divisors of L lie below x: only those are listed
+    cfg = cli.parse_args(["construct", "--mode", "agp", *AGP_PINNED["y60"][0].split()])
+    tracemalloc.start()
+    try:
+        state = pipeline.run_agp_construction(cfg.params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(state.Q), state.k0, state.k0_count, len(state.pool)) == (21, 2, 368, 368)
+    assert peak < 4 << 20, peak
+
+
 def test_cli_solve(tmp_path, capsys):
     pool_file = tmp_path / "pool.txt"
     pool_file.write_text("7\n11\n13\n31\n41\n61\n", encoding="utf-8")
@@ -241,6 +334,20 @@ def test_cli_solve(tmp_path, capsys):
 def test_cli_capacity_exit_code(capsys):
     code, _, err = run_cli(capsys, "census", "--limit", str(10**9), "--modulus", "4")
     assert code == 3 and "error" in err
+    # checked before the per-class table is built
+    code, out, err = run_cli(capsys, "census", "--limit", "1000", "--modulus", "2000000")
+    assert (code, out) == (3, "")
+    assert f"census modulus cap {korselt.CENSUS_MODULUS_CAP}" in err
+    cap = f"divisor cap {pipeline.DIVISOR_CAP}"
+    # the product of the first 18 primes has 2**18 divisors
+    first_18 = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61))
+    code, out, err = run_cli(capsys, "construct", "--modulus", "1", "--residue", "1",
+                             "--lambda", str(first_18))
+    assert (code, out) == (3, "") and cap in err
+    # without --x-cap, x = (M*L)**5 lies above every one of the 2**21 divisors of L
+    code, out, err = run_cli(capsys, "construct", "--mode", "agp", "--modulus", "1",
+                             "--residue", "0", "--y", "60", "--theta", "1.5", "--B", "2/5")
+    assert (code, out) == (3, "") and cap in err
 
 
 def test_cli_output_file(tmp_path, capsys):

@@ -123,6 +123,8 @@ def test_census_totals_match_enumerator():
 def test_census_domain():
     with pytest.raises(DomainError):
         korselt.census(1000, 0)
+    with pytest.raises(CapacityError):
+        korselt.census(1000, korselt.CENSUS_MODULUS_CAP + 1)
     # modulus 1 is the single class 0
     c = korselt.census(100_000, 1)
     assert c.counts == {0: 16} and c.other == 0

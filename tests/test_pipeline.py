@@ -5,7 +5,7 @@ import pytest
 
 from carmkit import arith, pipeline
 from carmkit.errors import CapacityError, ConstructionError, DomainError
-from carmkit.pipeline import Caps, ConstructionParams, PoolFilters, ConstructionState
+from carmkit.pipeline import Caps, ConstructionParams, PoolFilters
 
 
 def brute_pool(L, k, x, M, a, require_qr=False, require_residue=False):
@@ -120,36 +120,54 @@ def test_find_k0_errors():
         pipeline.find_k0(arith.factorize(3), 2, 2, 1, PoolFilters(), 1)
     with pytest.raises(DomainError):
         pipeline.find_k0(arith.factorize(3), 1, 1, 1, PoolFilters(), 1)
+    # the pool walk lists subset products of L's primes: L must be squarefree
+    with pytest.raises(DomainError):
+        pipeline.find_k0(arith.factorize(45), 100, 1, 1, PoolFilters(), 1)
 
 
-def _state(L, k0, x):
-    Lf = arith.factorize(L)
-    return ConstructionState(
-        Q=tuple(Lf.primes()), x_faithful=x, x_faithful_log2=math.log2(x),
-        x=x, L=L, L_fact=Lf, k0=k0, k0_count=0, pool=())
-
-
-def _params(**filters):
+def _params(pool_cap=None, **filters):
     return ConstructionParams(M=1, a=1, mode="agp", y=5, theta=1.5, B=Fraction(2, 5),
-                              filters=PoolFilters(**filters))
+                              caps=Caps(pool_cap=pool_cap), filters=PoolFilters(**filters))
 
 
 def test_build_pool_pinned():
-    assert pipeline.build_pool(_state(15, 2, 40), _params()) == [(7, 3), (11, 5), (31, 15)]
-    assert pipeline.build_pool(_state(15, 2, 40), _params(require_qr=True)) == [(31, 15)]
+    f15 = arith.factorize(15)
+    assert pipeline.build_pool(f15, 40, 2, _params()) == [(7, 3), (11, 5), (31, 15)]
+    assert pipeline.build_pool(f15, 40, 2, _params(require_qr=True)) == [(31, 15)]
+    assert pipeline.build_pool(f15, 40, 2, _params(pool_cap=2)) == [(7, 3), (11, 5)]
     # p = d*k0+1 over d | 3 gives only p = 2 here; 4 is not prime
-    assert pipeline.build_pool(_state(3, 1, 10), _params()) == [(2, 1)]
+    assert pipeline.build_pool(arith.factorize(3), 10, 1, _params()) == [(2, 1)]
 
 
 def test_build_pool_invariants():
     params = _params()
-    st = _state(15, 2, 40)
-    for p, d in pipeline.build_pool(st, params):
+    L, x, k0 = 15, 40, 2
+    for p, d in pipeline.build_pool(arith.factorize(L), x, k0, params):
         assert arith.is_prime(p)
-        assert st.L % d == 0
-        assert p == d * st.k0 + 1
-        assert p <= st.x and (params.M * st.L) % p != 0
-        assert math.gcd((p - 1) // d, st.L) == 1
+        assert L % d == 0
+        assert p == d * k0 + 1
+        assert p <= x and (params.M * L) % p != 0
+        assert math.gcd((p - 1) // d, L) == 1
+
+
+def test_build_pool_matches_brute():
+    for L, x, k, M, a in [(15, 40, 2, 1, 1), (1463, 10**5, 6, 4, 3), (15015, 10**4, 4, 1, 0),
+                          (7 * 11 * 19 * 23 * 31, 10**6, 10, 3, 2)]:
+        for qr, res in [(False, False), (True, True)]:
+            params = ConstructionParams(M=M, a=a, mode="agp", y=5, theta=1.5, B=Fraction(2, 5),
+                                        filters=PoolFilters(qr, res))
+            got = pipeline.build_pool(arith.factorize(L), x, k, params)
+            assert got == brute_pool(L, k, x, M, a, qr, res), (L, x, k, qr)
+
+
+def test_find_k0_divisor_cap():
+    # the 18 odd primes to 67: 2**18 divisors, all below this x
+    odd_18 = arith.factorize(math.prod(
+        (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)))
+    with pytest.raises(CapacityError, match=f"divisor cap {pipeline.DIVISOR_CAP}"):
+        pipeline.find_k0(odd_18, 1 << 200, 1, 0, PoolFilters(), 1)
+    # below a small x the same L has few divisors and walks fine
+    assert pipeline.find_k0(odd_18, 10**6, 1, 0, PoolFilters(), 4)[1] > 0
 
 
 def test_erdos_pool_pinned():

@@ -64,6 +64,9 @@ def test_exact_identity_threshold_known_groups():
     assert solver.exact_identity_threshold(2) == 1
     with pytest.raises(CapacityError):
         solver.exact_identity_threshold(101)
+    # the group order is known before any unit is listed
+    with pytest.raises(CapacityError):
+        solver.exact_identity_threshold(10**15)
 
 
 def test_exact_threshold_below_bound():
