@@ -263,8 +263,8 @@ def _header_lines(cfg: argparse.Namespace) -> list[str]:
 
 def _run_verify(cfg: argparse.Namespace) -> tuple[int, list[str]]:
     n = cfg.n
-    f = factorize(n)
-    if not korselt_check(n, f):
+    # a Carmichael number is odd and a Fermat pseudoprime to base 2: reject before factoring
+    if n % 2 == 0 or pow(2, n - 1, n) != 1 or not korselt_check(n, f := factorize(n)):
         print(f"{n} is not a Carmichael number", file=sys.stderr)
         return 1, []
     cert = assemble(f.primes(), AssemblySpec(mode="external", multiplier=0, L=0, M=1, a=0))
@@ -287,10 +287,10 @@ def _run_construct(cfg: argparse.Namespace) -> tuple[int, list[str]]:
     else:
         state = run_agp_construction(params)
         pool = [p for p, _ in state.pool]
-        if len(pool) < 3:
-            print(f"pool of {len(pool)} primes is too small", file=sys.stderr)
-            return 1, []
         L, spec = state.L, AssemblySpec("agp", state.k0, state.L, M, a)
+    if len(pool) < 3:
+        print(f"pool of {len(pool)} primes is too small", file=sys.stderr)
+        return 1, []
     target = derive_target(L, M, a)
     subset = subset_product_find(pool, target.modulus, target.h, 3, cfg.max_factors)
     if subset is None:

@@ -1,11 +1,11 @@
 """Construction pipeline: smooth primes -> modulus L -> multiplier k0 -> prime pool.
 
-Two modes. In "agp" mode the pool holds primes p = d*k0 + 1 <= x over divisors
-d of a squarefree modulus L built from shifted-smooth primes, optionally
-filtered to quadratic residues mod L and to a residue class mod M; one walk
-over the divisors below x both scores each multiplier k and lists the pool at
-k0. In "erdos" mode a directly chosen smooth modulus Lambda replaces that
-parameterization and the pool holds primes p with p-1 | Lambda; this is the
+Two modes share one pool rule: primes p = d*k + 1 over divisors d of L, coprime
+to M*L, listed by one bounded divisor walk. In "agp" mode L is the squarefree
+product of shifted-smooth primes, p <= x, the multiplier k0 is the k whose pool
+is largest, and the primes may be filtered to quadratic residues mod L and to
+a residue class mod M. "erdos" mode is that rule at k = 1 over every divisor
+of a directly chosen smooth L = Lambda, unfiltered, so p-1 | Lambda; it is the
 default desk-scale path since the faithful x = ceil((M*L)**(2/B)) is
 astronomically large even for tiny prime sets.
 """
@@ -17,12 +17,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import Factorization, divisors, factorize, is_prime, jacobi, nth_root_floor
+from .arith import Factorization, factorize, is_prime, jacobi, nth_root_floor
 from .errors import CapacityError, ConstructionError, DomainError
 from .sieve import SmoothPrimeQuery, build_Q
 
 X_MAX_BITS = 1_000_000
-DIVISOR_CAP = 2**17  # divisors one pool walk or erdos_pool may list
+DIVISOR_CAP = 2**17  # divisors one divisor walk may list
 
 
 @dataclass(frozen=True)
@@ -156,24 +156,26 @@ def is_qr_mod_L(p: int, L_fact: Factorization) -> bool:
     return all(jacobi(p, q) == 1 for q in L_fact.primes())
 
 
-def _pool_pairs(
-    L_fact: Factorization, x: int, k: int, M: int, a: int, filters: PoolFilters
-) -> list[tuple[int, int]]:
-    """All (p, d) with d | L, p = d*k + 1 <= x prime, p coprime to M*L and
-    passing the enabled filters, ascending in d (so in p).
-
-    Only the divisors with d*k + 1 <= x are formed, as subset products of the
-    primes of squarefree L, so the walk costs what lies below x, not 2^omega(L).
-    """
-    if not L_fact.is_squarefree:
-        raise DomainError("L must be squarefree")
-    bound = (x - 1) // k
+def _divisors_upto(fact: Factorization, bound: int) -> list[int]:
+    """The divisors d <= bound of fact's value, ascending, grown one prime
+    power at a time and cut at the bound, so the walk costs only what lies below it."""
     divs = [1] if bound >= 1 else []
-    for q in L_fact.primes():
-        divs = sorted(divs + [d * q for d in divs[: bisect_right(divs, bound // q)]])
-        if len(divs) > DIVISOR_CAP:
-            raise CapacityError(
-                f"L has more divisors d with d*{k}+1 <= x than the divisor cap {DIVISOR_CAP}")
+    for q, e in fact:
+        power = divs
+        for _ in range(e):
+            power = [d * q for d in power[: bisect_right(power, bound // q)]]
+            divs = sorted(divs + power)
+            if len(divs) > DIVISOR_CAP:
+                raise CapacityError(
+                    f"{fact.value()} has more divisors to list than the divisor cap {DIVISOR_CAP}")
+    return divs
+
+
+def _pool_pairs(
+    divs: list[int], k: int, L_fact: Factorization, M: int, a: int, filters: PoolFilters
+) -> list[tuple[int, int]]:
+    """The pool rule: all (p, d) over d in divs with p = d*k + 1 prime, p
+    coprime to M*L and passing the enabled filters, in the order of divs."""
     ML = M * L_fact.value()
     out = []
     for d in divs:
@@ -188,22 +190,24 @@ def _pool_pairs(
 def find_k0(
     L_fact: Factorization, x: int, M: int, a: int, filters: PoolFilters, k_cap: int
 ) -> tuple[int, int]:
-    """Scan k = 1..k_cap coprime to L for the k giving the most pool primes.
+    """Scan k = 1..min(k_cap, x-1) coprime to L for the k giving the most pool primes.
 
-    A k counts the pairs _pool_pairs keeps for it: divisors d | L with
-    p = d*k+1 prime, p <= x, p coprime to M*L, passing the enabled filters.
-    Smallest k wins ties. Raises if every k yields zero.
+    A k counts the primes p = d*k+1 <= x over d | L that are coprime to M*L
+    and pass the enabled filters; its d are the prefix d <= (x-1)//k of one
+    divisor walk at k = 1. Smallest k wins ties. Raises if every k yields zero.
     """
     if x < 2:
         raise DomainError(f"x must be >= 2, got {x}")
     if k_cap < 1:
         raise DomainError(f"k_cap must be >= 1, got {k_cap}")
     L = L_fact.value()
+    divs = _divisors_upto(L_fact, x - 1)
     best_k, best_count = 0, 0
-    for k in range(1, k_cap + 1):
+    for k in range(1, min(k_cap, x - 1) + 1):
         if math.gcd(k, L) != 1:
             continue
-        count = len(_pool_pairs(L_fact, x, k, M, a, filters))
+        prefix = divs[: bisect_right(divs, (x - 1) // k)]
+        count = len(_pool_pairs(prefix, k, L_fact, M, a, filters))
         if count > best_count:
             best_k, best_count = k, count
     if best_count == 0:
@@ -219,29 +223,21 @@ def build_pool(
     gcd((p-1)/d, L) = gcd(k0, L) = 1 holds for every entry when k0 comes
     from find_k0, which only picks k0 coprime to L.
     """
-    return _pool_pairs(L_fact, x, k0, params.M, params.a, params.filters)[: params.caps.pool_cap]
+    divs = _divisors_upto(L_fact, (x - 1) // k0)
+    return _pool_pairs(divs, k0, L_fact, params.M, params.a, params.filters)[: params.caps.pool_cap]
 
 
 def erdos_pool(Lambda: int, M: int, pool_cap: int | None = None) -> list[int]:
-    """All primes p with p-1 | Lambda and p coprime to Lambda*M, ascending.
-
-    The residue class plays no role in membership: subset products, not
-    single primes, hit it.
+    """All primes p with p-1 | Lambda and p coprime to Lambda*M, ascending,
+    cut at pool_cap: the agp pool rule at k = 1 with L = Lambda, bound Lambda
+    and no filters. The residue class plays no role in membership: subset
+    products, not single primes, hit it.
     """
     if Lambda < 2:
         raise DomainError(f"Lambda must be >= 2, got {Lambda}")
     f = factorize(Lambda)
-    n_divisors = math.prod(e + 1 for _, e in f)
-    if n_divisors > DIVISOR_CAP:
-        raise CapacityError(
-            f"Lambda {Lambda} has {n_divisors} divisors, over the divisor cap {DIVISOR_CAP}")
-    LM = Lambda * M
-    pool = [d + 1 for d in divisors(f) if is_prime(d + 1) and LM % (d + 1) != 0][:pool_cap]
-    if len(pool) < 3:
-        raise ConstructionError(
-            f"only {len(pool)} primes p with p-1 | {Lambda}; need at least 3"
-        )
-    return pool
+    pairs = _pool_pairs(_divisors_upto(f, Lambda), 1, f, M, 0, PoolFilters())
+    return [p for p, _ in pairs][:pool_cap]
 
 
 def run_agp_construction(params: ConstructionParams) -> ConstructionState:

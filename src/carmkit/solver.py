@@ -335,6 +335,8 @@ def subset_product_find(pool, modulus: int, target: int, min_size: int, max_size
     target %= modulus
     if len(pool) < min_size:
         return None
+    if max_size is not None:
+        max_size = min(max_size, len(pool))  # no larger subset exists
     if len(pool) <= MITM_LIMIT:
         return _find_mitm(pool, modulus, target, min_size, max_size)
     return _find_dp(pool, modulus, target, min_size, max_size)

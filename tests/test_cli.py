@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from carmkit import cli, korselt, pipeline, solver
+from carmkit import arith, cli, korselt, pipeline, solver
 from carmkit.errors import DomainError
 from carmkit.korselt import Census, census
 from carmkit.solver import AssemblySpec
@@ -131,6 +131,16 @@ def test_cli_verify(capsys):
     assert code == 1 and "not a Carmichael" in err
 
 
+def test_cli_verify_rejects_before_factoring(capsys, monkeypatch):
+    # a Carmichael number is odd and passes the base-2 Fermat test; an 82-digit
+    # semiprime that fails it would otherwise exhaust the factoring budget
+    p, q = (next(n for n in range(s, 2 * s) if arith.is_prime(n)) for s in (10**40, 3 * 10**41))
+    monkeypatch.setattr(cli, "factorize", lambda n: pytest.fail(f"factorize({n}) called"))
+    for n in (p * q, 562, 15):
+        code, out, err = run_cli(capsys, "verify", str(n))
+        assert code == 1 and err == f"{n} is not a Carmichael number\n"
+
+
 def test_cli_census_modulus_1(capsys):
     code, out, _ = run_cli(capsys, "census", "--limit", "10000", "--modulus", "1")
     assert code == 0
@@ -169,10 +179,14 @@ def test_cli_construct_residue_class(capsys):
 
 
 def test_cli_construct_zero_results(capsys):
-    # Lambda = 6 gives pool {7} only after exclusions -> construction error
+    # Lambda = 6 gives pool {7} only after exclusions: too small, completed empty
     code, out, err = run_cli(capsys, "construct", "--modulus", "1", "--residue", "1",
                              "--lambda", "6")
-    assert code == 3
+    assert code == 1 and err == "pool of 1 primes is too small\n"
+    # a pool cut below 3 primes is too small in erdos mode as in agp mode
+    code, out, err = run_cli(capsys, "construct", "--modulus", "1", "--residue", "0",
+                             "--lambda", "720720", "--pool-cap", "2")
+    assert code == 1 and err == "pool of 2 primes is too small\n"
     # pool {3, 5, 7, 13} mod 4: target 3 mod 4 unreachable when... use a feasible
     # pool with no subset: lambda = 12 -> pool {5, 7, 13}, target 1 mod 12
     code, out, err = run_cli(capsys, "construct", "--modulus", "1", "--residue", "1",

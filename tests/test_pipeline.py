@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -105,13 +106,16 @@ def test_find_k0_pinned():
 
 
 def test_find_k0_matches_brute():
+    # 45 and 360 are not squarefree: the walk takes prime powers, and only the
+    # QR filter, which needs a squarefree odd L, is left off for them
     for L, x, M, a, cap in [(15, 40, 1, 1, 10), (21, 100, 1, 1, 20), (105, 500, 4, 3, 30),
-                            (33, 300, 2, 1, 15)]:
-        got = pipeline.find_k0(arith.factorize(L), x, M, a, PoolFilters(), cap)
+                            (33, 300, 2, 1, 15), (45, 100, 1, 1, 1), (360, 5000, 7, 3, 40)]:
+        Lf = arith.factorize(L)
+        got = pipeline.find_k0(Lf, x, M, a, PoolFilters(), cap)
         assert got == brute_find_k0(L, x, M, a, cap)
-        got = pipeline.find_k0(arith.factorize(L), x, M, a,
-                               PoolFilters(require_qr=True, require_residue=True), cap)
-        assert got == brute_find_k0(L, x, M, a, cap, require_qr=True, require_residue=True)
+        qr = Lf.is_squarefree and L % 2 == 1
+        got = pipeline.find_k0(Lf, x, M, a, PoolFilters(require_qr=qr, require_residue=True), cap)
+        assert got == brute_find_k0(L, x, M, a, cap, require_qr=qr, require_residue=True)
 
 
 def test_find_k0_errors():
@@ -120,9 +124,17 @@ def test_find_k0_errors():
         pipeline.find_k0(arith.factorize(3), 2, 2, 1, PoolFilters(), 1)
     with pytest.raises(DomainError):
         pipeline.find_k0(arith.factorize(3), 1, 1, 1, PoolFilters(), 1)
-    # the pool walk lists subset products of L's primes: L must be squarefree
+    # the QR filter needs a squarefree L; p = 2 is the first prime it tests
     with pytest.raises(DomainError):
-        pipeline.find_k0(arith.factorize(45), 100, 1, 1, PoolFilters(), 1)
+        pipeline.find_k0(arith.factorize(45), 100, 1, 1, PoolFilters(require_qr=True), 1)
+
+
+def test_find_k0_stops_below_x(monkeypatch):
+    # for k >= x every p = d*k + 1 exceeds x, so no such k reaches the pool rule
+    rule, calls = pipeline._pool_pairs, []
+    monkeypatch.setattr(pipeline, "_pool_pairs", lambda *args: calls.append(args) or rule(*args))
+    assert pipeline.find_k0(arith.factorize(77), 40, 1, 0, PoolFilters(), 10_000) == (2, 2)
+    assert 0 < len(calls) < 40
 
 
 def _params(pool_cap=None, **filters):
@@ -174,8 +186,8 @@ def test_erdos_pool_pinned():
     assert pipeline.erdos_pool(120, 1) == [7, 11, 13, 31, 41, 61]
     # divisor-scan oracle value; includes 19 since 18 | 630
     assert pipeline.erdos_pool(630, 1) == [11, 19, 31, 43, 71, 127, 211, 631]
-    with pytest.raises(ConstructionError):
-        pipeline.erdos_pool(2, 1)
+    # a short pool is the caller's to judge
+    assert pipeline.erdos_pool(2, 1) == [3]
     with pytest.raises(DomainError):
         pipeline.erdos_pool(1, 1)
 
@@ -189,6 +201,22 @@ def test_erdos_pool_postconditions():
             assert lam % (p - 1) == 0
             assert (lam * M) % p != 0
     assert pipeline.erdos_pool(120, 1, pool_cap=4) == [7, 11, 13, 31]
+
+
+def test_erdos_pool_is_agp_pool_at_k1():
+    rng = random.Random(9)
+    lambdas = [720720, 2**10 * 3**4, 2520] + [rng.randrange(2, 10**5) for _ in range(5)]
+    for lam in lambdas:
+        f = arith.factorize(lam)
+        for M in (1, 4, rng.randrange(2, 100)):
+            oracle = [d + 1 for d in arith.divisors(f)
+                      if arith.is_prime(d + 1) and (lam * M) % (d + 1) != 0]
+            for cap in (None, 5):
+                params = ConstructionParams(M=M, a=1, mode="agp", y=5, theta=1.5,
+                                            B=Fraction(2, 5), caps=Caps(pool_cap=cap),
+                                            filters=PoolFilters())
+                agp = [p for p, _ in pipeline.build_pool(f, lam + 1, 1, params)]
+                assert pipeline.erdos_pool(lam, M, cap) == agp == oracle[:cap], (lam, M, cap)
 
 
 def test_construction_params_validation():

@@ -247,6 +247,15 @@ def test_subset_find_dp_path():
     assert got is not None and 3 <= len(got) <= 5
 
 
+def test_subset_find_max_size_clamped():
+    # no subset is larger than the pool, so a larger max_size must not size the DP table
+    primes = [p for p in range(2, 180) if arith.is_prime(p)]
+    for n in (41, 40):  # the DP path and the meet-in-the-middle path
+        pool = primes[:n]
+        got = solver.subset_product_find(pool, 1009, 5, 3, n)
+        assert got is not None and solver.subset_product_find(pool, 1009, 5, 3, 10**6) == got
+
+
 def test_subset_find_dp_none_agrees_with_mitm():
     rng = random.Random(47)
     m = 16
