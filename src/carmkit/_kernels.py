@@ -1,7 +1,11 @@
 """Hot numeric kernels, vectorized with numpy, and the segment driver.
 
 The sieves and the unit-group DP work on int64 arrays, so callers keep values
-< 2**62 and moduli < ``INT64_MOD_LIMIT`` where products are formed.
+< 2**62 and moduli < ``INT64_MOD_LIMIT`` where products are formed. Both
+sieves touch only arithmetic progressions, each one strided slice: the lpf
+window marks the multiples of each prime and divides by each prime power on
+its multiples, and the Carmichael scan keeps, among the odd multiples v = p*t
+of each prime, only those with t = 1 (mod p-1).
 ``all_subset_products`` falls back to object arrays (Python ints) for larger
 moduli; other arbitrary-precision paths live outside this module.
 ``scan_segments`` runs a sieve over a long range one segment at a time, so
@@ -43,68 +47,49 @@ def scan_segments(scan, start: int, stop: int, size: int, threads: int = 1) -> l
 
 
 def lpf_range(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
-    """Largest prime factor for each integer in [lo, hi]; lpf(1) = 1.
+    """Largest prime factor for each integer in [lo, hi], lo >= 1; lpf(1) = 1.
 
-    ``base_primes`` must cover all primes <= isqrt(hi).
+    Each prime p, ascending, marks its multiples (the slice from -lo % p, step
+    p), and each power p**k <= hi divides one p out of its own multiples; what
+    is left is 1 or the one prime factor above isqrt(hi). ``base_primes`` must
+    cover all primes <= isqrt(hi).
     """
-    n = hi - lo + 1
     rem = np.arange(lo, hi + 1, dtype=np.int64)
-    lpf = np.ones(n, dtype=np.int64)
+    lpf = np.ones(hi - lo + 1, dtype=np.int64)
     for p in base_primes:
         p = int(p)
-        start = ((lo + p - 1) // p) * p
-        if start > hi:
-            continue
-        sl = slice(start - lo, None, p)
-        sub = rem[sl]
-        sub //= p
-        m = sub % p == 0
-        while m.any():
-            sub[m] //= p
-            m &= sub % p == 0
-        lpf[sl] = p
-    big = rem > 1
-    lpf[big] = rem[big]
-    if lo <= 1 <= hi:
-        lpf[1 - lo] = 1
-    return lpf
+        lpf[-lo % p :: p] = p
+        pk = p
+        while pk <= hi:
+            rem[-lo % pk :: pk] //= p
+            pk *= p
+    return np.maximum(lpf, rem, out=lpf)
 
 
 def carmichael_segment(lo: int, hi: int, odd_primes: np.ndarray) -> np.ndarray:
     """Flags, per odd v in [lo, hi), v composite + squarefree + (p-1 | v-1 for all p | v).
 
-    ``lo`` must be odd; ``odd_primes`` must cover odd primes <= isqrt(hi - 1).
+    The odd multiples v = p*t, t >= 3, of each prime p lose their flag except
+    the progression t = 1 (mod p-1), every (p-1)/2-th of them, which keeps it
+    unless p*p | v and has p divided out once. A survivor is composite iff
+    something was divided out, and what is left is 1 or one prime above
+    isqrt(hi - 1), checked last. ``lo`` must be odd; ``odd_primes`` must cover
+    odd primes <= isqrt(hi - 1).
     """
     vals = np.arange(lo, hi, 2, dtype=np.int64)
-    n = vals.size
     rem = vals.copy()
-    alive = np.ones(n, dtype=bool)
-    nfac = np.zeros(n, dtype=np.int8)
+    alive = np.ones(vals.size, dtype=bool)
     for p in odd_primes:
         p = int(p)
-        start = ((lo + p - 1) // p) * p
-        if start % 2 == 0:
-            start += p
-        if start >= hi:
-            continue
-        sl = slice((start - lo) // 2, None, p)
-        sub_rem = rem[sl]
-        sub_alive = alive[sl]
-        q = sub_rem // p
-        square = q % p == 0
-        sub_alive[square] = False
-        ok = ~square
-        bad = (vals[sl] - 1) % (p - 1) != 0
-        sub_alive[ok & bad] = False
-        sub_rem[ok] = q[ok]
-        nfac[sl] += ok
-    out = alive
-    big = rem > 1
-    out &= ~(big & (rem == vals))  # v itself prime
-    last_ok = (vals - 1) % np.where(big, rem - 1, 1) == 0
-    out &= ~big | last_ok
-    out &= (nfac + big.astype(np.int8)) >= 2
-    return out.astype(np.uint8)
+        t = max(3, -(-lo // p)) | 1  # first odd t >= 3 with p*t >= lo
+        # p*t - 1 = (p-1)*t + (t-1), so p-1 | v-1 iff t = 1 (mod p-1)
+        t1 = t + (1 - t) % (p - 1)
+        korselt = slice((p * t1 - lo) // 2, None, p * (p - 1) // 2)
+        keep = alive[korselt] & (rem[korselt] % (p * p) != 0)  # p*p | v is not squarefree
+        alive[(p * t - lo) // 2 :: p] = False
+        alive[korselt] = keep
+        rem[korselt] //= p
+    return (alive & (rem != vals) & ((vals - 1) % np.maximum(rem - 1, 1) == 0)).astype(np.uint8)
 
 
 def dp_reach(

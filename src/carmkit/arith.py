@@ -18,6 +18,8 @@ _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 PROBABLE_PRIME_THRESHOLD = 1 << 64
+TRIAL_BOUND = 100_000  # factorize's trial-division bound
+RHO_BUDGET = 2_000_000  # factorize's total Brent-rho iterations
 
 
 @dataclass(frozen=True)
@@ -187,11 +189,11 @@ def _pollard_brent(n: int, seed: int, budget: int) -> tuple[int, int]:
     return (g if 1 < g < n else n), used
 
 
-def factorize(n: int, *, trial_bound: int = 100_000, rho_budget: int = 2_000_000) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Exact factorization of n >= 1 under an explicit work budget.
 
-    Trial division up to ``trial_bound``, then deterministic Brent-rho rounds
-    capped at ``rho_budget`` total iterations. Raises UnfactoredError (naming
+    Trial division up to TRIAL_BOUND, then deterministic Brent-rho rounds
+    capped at RHO_BUDGET total iterations. Raises UnfactoredError (naming
     the remaining cofactor) rather than stalling on hard inputs.
     """
     if n < 1:
@@ -204,7 +206,7 @@ def factorize(n: int, *, trial_bound: int = 100_000, rho_budget: int = 2_000_000
     d = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)  # gaps coprime to 2,3,5
     w = 0
-    while d * d <= n and d <= trial_bound:
+    while d * d <= n and d <= TRIAL_BOUND:
         while n % d == 0:
             found[d] = found.get(d, 0) + 1
             n //= d
@@ -214,7 +216,7 @@ def factorize(n: int, *, trial_bound: int = 100_000, rho_budget: int = 2_000_000
         found[n] = found.get(n, 0) + 1
         n = 1
 
-    remaining = rho_budget
+    remaining = RHO_BUDGET
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

@@ -19,7 +19,7 @@ from .errors import CapacityError, DomainError
 
 ENUMERATION_CAP = 100_000_000
 CENSUS_MODULUS_CAP = 1_000_000
-DEFAULT_SEGMENT = 1 << 20
+DEFAULT_SEGMENT = 1 << 20  # even, so every segment starts odd
 
 
 def korselt_check(n: int, f: Factorization) -> bool:
@@ -40,15 +40,12 @@ def fermat_witness(n: int, a: int) -> bool:
     return pow(a, n, n) == a % n
 
 
-def enumerate_carmichael(
-    limit: int, *, segment_size: int = DEFAULT_SEGMENT, threads: int = 1
-) -> list[tuple[int, Factorization]]:
+def enumerate_carmichael(limit: int, *, threads: int = 1) -> list[tuple[int, Factorization]]:
     """All Carmichael numbers below ``limit``, ascending, with factorizations."""
     if limit > ENUMERATION_CAP:
         raise CapacityError(f"limit {limit} exceeds enumeration cap {ENUMERATION_CAP}")
     if limit <= 561:
         return []
-    segment_size += segment_size % 2  # keep segment starts odd
     odd_primes = _kernels.sieve_primes(math.isqrt(limit - 1))[1:]  # drop 2
 
     def scan(lo, hi):
@@ -56,7 +53,7 @@ def enumerate_carmichael(
         return lo + 2 * np.flatnonzero(flags)
 
     out: list[tuple[int, Factorization]] = []
-    for arr in _kernels.scan_segments(scan, 3, limit, segment_size, threads):
+    for arr in _kernels.scan_segments(scan, 3, limit, DEFAULT_SEGMENT, threads):
         for n in (int(v) for v in arr):
             f = factorize(n)
             if not korselt_check(n, f):  # sieve and oracle must agree

@@ -112,7 +112,7 @@ def _as_fraction(B) -> Fraction:
     return Fraction(B)
 
 
-def compute_x(M: int, L: int, B, *, max_bits: int = X_MAX_BITS) -> int:
+def compute_x(M: int, L: int, B) -> int:
     """ceil((M*L)**(2/B)) with exact integer root/power arithmetic."""
     B = _as_fraction(B)
     if not 0 < B < Fraction(5, 12):
@@ -122,10 +122,10 @@ def compute_x(M: int, L: int, B, *, max_bits: int = X_MAX_BITS) -> int:
         raise DomainError("M * L must be >= 1")
     exp = 2 / B  # exact Fraction
     work_bits = base.bit_length() * exp.numerator
-    if work_bits > max_bits:
+    if work_bits > X_MAX_BITS:
         raise CapacityError(
             f"x would need ~{work_bits // max(exp.denominator, 1)} bits "
-            f"(> {max_bits} working); set caps.x_cap instead"
+            f"(> {X_MAX_BITS} working); set caps.x_cap instead"
         )
     powed = base**exp.numerator
     root = nth_root_floor(powed, exp.denominator)

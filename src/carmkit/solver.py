@@ -43,6 +43,7 @@ from .korselt import korselt_check
 MITM_LIMIT = 40
 ENUMERATE_LIMIT = 24
 DP_CELL_BOUND = 200_000_000
+EXACT_GROUP_CAP = 36  # largest unit group exact_identity_threshold searches
 _MITM_CHUNK = 1 << 14  # left masks looked up per searchsorted call
 _SCAN_BLOCK = 1 << 14  # masks formed per step of the exhaustive scan
 
@@ -158,14 +159,15 @@ def compute_invariants(spec: GroupSpec, omega_L: int, x: int) -> GroupInvariants
     )
 
 
-def exact_identity_threshold(modulus: int, *, max_group: int = 36) -> int:
+def exact_identity_threshold(modulus: int) -> int:
     """Exact smallest N such that every N non-identity units contain an
-    identity-product subset (exhaustive search; unit groups of order <= 36)."""
+    identity-product subset (exhaustive search; unit groups of order <=
+    EXACT_GROUP_CAP)."""
     if modulus < 1:
         raise DomainError(f"modulus must be >= 1, got {modulus}")
     order = euler_phi(factorize(modulus))
-    if order > max_group:
-        raise CapacityError(f"group order {order} exceeds exhaustive cap {max_group}")
+    if order > EXACT_GROUP_CAP:
+        raise CapacityError(f"group order {order} exceeds exhaustive cap {EXACT_GROUP_CAP}")
     units = [a for a in range(1, modulus) if math.gcd(a, modulus) == 1] or [0]
     elems = [u for u in units if u != 1 % modulus]
     if not elems:
@@ -335,8 +337,8 @@ def subset_product_find(pool, modulus: int, target: int, min_size: int, max_size
     target %= modulus
     if len(pool) < min_size:
         return None
-    if max_size is not None:
-        max_size = min(max_size, len(pool))  # no larger subset exists
+    if max_size is not None and max_size >= len(pool):
+        max_size = None  # no larger subset exists; search as with no bound
     if len(pool) <= MITM_LIMIT:
         return _find_mitm(pool, modulus, target, min_size, max_size)
     return _find_dp(pool, modulus, target, min_size, max_size)

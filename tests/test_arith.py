@@ -64,17 +64,20 @@ def test_factorize_reconstructs_up_to_1e5():
         assert list(f.primes()) == sorted(f.primes())
 
 
-def test_factorize_uses_rho_beyond_trial_bound():
+def test_factorize_uses_rho_beyond_trial_bound(monkeypatch):
+    monkeypatch.setattr(arith, "TRIAL_BOUND", 1000)
     p, q = 1_000_003, 1_000_033
-    f = arith.factorize(p * q, trial_bound=1000)
+    f = arith.factorize(p * q)
     assert f.pairs == ((p, 1), (q, 1))
 
 
-def test_factorize_budget_exhaustion():
+def test_factorize_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(arith, "TRIAL_BOUND", 100)
+    monkeypatch.setattr(arith, "RHO_BUDGET", 50)
     p = 2**89 - 1
     q = 2**107 - 1
     with pytest.raises(UnfactoredError) as ei:
-        arith.factorize(p * q, trial_bound=100, rho_budget=50)
+        arith.factorize(p * q)
     assert ei.value.cofactor > 1
     assert (p * q) % ei.value.cofactor == 0
 

@@ -131,7 +131,10 @@ def test_sieve_primes_matches_trial_division():
         assert (n in primes) == is_p
 
 
-@pytest.mark.parametrize("lo,hi", [(1, 2000), (500, 4000), (99_990, 100_500), (2, 2)])
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(1, 2000), (500, 4000), (99_990, 100_500), (2, 2), (3**13, 3**13 + 3000), (2**21 - 1500, 2**21 + 1500)],
+)
 def test_lpf_backends_agree_and_match_brute(lo, hi):
     base = K.sieve_primes(math.isqrt(hi))
     out_np = K.lpf_range(lo, hi, base)
@@ -141,7 +144,7 @@ def test_lpf_backends_agree_and_match_brute(lo, hi):
         assert out_np[i] == brute_lpf(n), n
 
 
-@pytest.mark.parametrize("lo,hi", [(3, 20001), (1_000_001, 1_100_001)])
+@pytest.mark.parametrize("lo,hi", [(3, 20001), (1_000_001, 1_100_001), (99_000_001, 99_100_001)])
 def test_carmichael_segment_backends_agree(lo, hi):
     odd_primes = K.sieve_primes(math.isqrt(hi - 1))[1:]
     out_np = K.carmichael_segment(lo, hi, odd_primes)

@@ -66,11 +66,15 @@ def test_enumerate_entries_verify_and_ascend():
         assert korselt.korselt_check(n, f)
 
 
-def test_enumerate_segment_and_thread_invariance():
+def test_enumerate_segment_and_thread_invariance(monkeypatch):
     base = [n for n, _ in korselt.enumerate_carmichael(50_000)]
-    small_seg = [n for n, _ in korselt.enumerate_carmichael(50_000, segment_size=4096)]
     threaded = [n for n, _ in korselt.enumerate_carmichael(50_000, threads=4)]
+    wide = [n for n, _ in korselt.enumerate_carmichael(2_000_000)]
+    # small segments start inside the sieving primes' strided progressions
+    monkeypatch.setattr(korselt, "DEFAULT_SEGMENT", 4096)
+    small_seg = [n for n, _ in korselt.enumerate_carmichael(50_000)]
     assert base == small_seg == threaded
+    assert wide == [n for n, _ in korselt.enumerate_carmichael(2_000_000)]
 
 
 def test_enumerate_count_at_1e6():

@@ -54,9 +54,10 @@ def test_compute_x_is_exact_ceiling():
         assert (x - 1) ** exp.denominator < base**exp.numerator
 
 
-def test_compute_x_capacity_and_domain():
-    with pytest.raises(CapacityError):
-        pipeline.compute_x(1, 10**300, Fraction(2, 5), max_bits=1000)
+def test_compute_x_capacity_and_domain(monkeypatch):
+    monkeypatch.setattr(pipeline, "X_MAX_BITS", 1000)
+    with pytest.raises(CapacityError, match="> 1000 working"):
+        pipeline.compute_x(1, 10**300, Fraction(2, 5))
     with pytest.raises(DomainError):
         pipeline.compute_x(1, 2, Fraction(1, 2))
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from carmkit import _kernels, arith, solver
+from carmkit import _kernels, arith, pipeline, solver
 from carmkit.errors import (
     AssemblyError,
     CapacityError,
@@ -248,12 +248,19 @@ def test_subset_find_dp_path():
 
 
 def test_subset_find_max_size_clamped():
-    # no subset is larger than the pool, so a larger max_size must not size the DP table
+    # no subset is larger than the pool, so max_size >= len(pool) searches as no bound does
     primes = [p for p in range(2, 180) if arith.is_prime(p)]
     for n in (41, 40):  # the DP path and the meet-in-the-middle path
         pool = primes[:n]
         got = solver.subset_product_find(pool, 1009, 5, 3, n)
         assert got is not None and solver.subset_product_find(pool, 1009, 5, 3, 10**6) == got
+    # the dp-41 pool: exact size classes 0..41 would exceed DP_CELL_BOUND
+    pool = pipeline.erdos_pool(65520, 11)
+    target = solver.derive_target(65520, 11, 3).h
+    want = solver.subset_product_find(pool, 720720, target, 3)
+    assert len(pool) == 41 and want == (5, 7, 10, 13, 15, 16, 17)
+    for cap in (41, 1000):
+        assert solver.subset_product_find(pool, 720720, target, 3, cap) == want
 
 
 def test_subset_find_dp_none_agrees_with_mitm():
