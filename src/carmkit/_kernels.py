@@ -1,11 +1,12 @@
 """Hot numeric kernels, vectorized with numpy, and the segment driver.
 
-The sieves and the unit-group DP work on int64 arrays, so callers keep values
-< 2**62 and moduli < ``INT64_MOD_LIMIT`` where products are formed. Both
-sieves touch only arithmetic progressions, each one strided slice: the lpf
-window marks the multiples of each prime and divides by each prime power on
-its multiples, and the Carmichael scan keeps, among the odd multiples v = p*t
-of each prime, only those with t = 1 (mod p-1).
+The sieves and the unit-group DP, which has one table axis per prime power
+of its modulus, work on int64 arrays: callers keep values < 2**62 and moduli
+< ``INT64_MOD_LIMIT`` where products are formed. Both sieves touch only
+arithmetic progressions, each one strided slice: the lpf window marks the
+multiples of each prime and divides by each prime power on its multiples,
+and the Carmichael scan keeps, among the odd multiples v = p*t of each prime,
+only those with t = 1 (mod p-1).
 ``all_subset_products`` falls back to object arrays (Python ints) for larger
 moduli; other arbitrary-precision paths live outside this module.
 ``scan_segments`` runs a sieve over a long range one segment at a time, so
@@ -92,29 +93,36 @@ def carmichael_segment(lo: int, hi: int, odd_primes: np.ndarray) -> np.ndarray:
     return (alive & (rem != vals) & ((vals - 1) % np.maximum(rem - 1, 1) == 0)).astype(np.uint8)
 
 
-def dp_reach(
-    inv: np.ndarray, units: np.ndarray, index: np.ndarray, n_classes: int, capped: bool
-) -> np.ndarray:
+def unit_position(x, p: int, q: int):
+    """Position of the unit x mod q, q a power of the prime p, among the units
+    mod q in ascending order (1 sits at 0): x mod q // p non-units lie below it."""
+    r = x % q
+    r -= r // p + 1  # in place: a fresh array when x is one
+    return r
+
+
+def dp_reach(inv, pq, n_classes: int, capped: bool) -> np.ndarray:
     """Layered reachability table for subset products in the unit group mod m.
 
-    ``units`` lists the units of Z/m in ascending order and ``index`` (m
-    entries) maps each unit to its position there; the last axis of the table
-    runs over these phi(m) unit indices. Item i is the unit whose inverse mod m
-    is ``inv[i]``; layer i holds the products reachable from 1 with the first
-    i items. Class c counts chosen items, with the top class saturating when
-    ``capped``.
+    The CRT splits (Z/m)^x into the unit groups mod each prime power q = p**e
+    of m, and ``pq`` lists their (p, q): the table has one axis of phi(q)
+    unit positions per q. Item i is the unit whose inverse mod m is
+    ``inv[i]``; layer i holds the products reachable from 1 with the first i
+    items, gathered from layer i-1 by one permutation per axis. Class c
+    counts chosen items, with the top class saturating when ``capped``.
     """
-    m = index.shape[0]
-    n = inv.shape[0]
-    reach = np.zeros((n + 1, n_classes, units.shape[0]), dtype=bool)
-    reach[0, 0, index[1 % m]] = True
-    for i in range(n):
-        perm = np.take(index, units * inv[i] % m)  # source unit for each target unit
+    units = [np.flatnonzero(np.arange(q) % p) for p, q in pq]
+    reach = np.zeros((len(inv) + 1, n_classes, *(u.shape[0] for u in units)), dtype=bool)
+    reach.flat[0] = True  # layer 0, class 0, the unit 1
+    for i, v in enumerate(inv):
         cur, nxt = reach[i], reach[i + 1]
+        src = cur if capped else cur[:-1]  # the top class moves only when capped
+        for axis, ((p, q), u) in enumerate(zip(pq, units), start=1):
+            src = np.take(src, unit_position(u * (v % q), p, q), axis=axis)  # cur[c, t * v]
         nxt[0] = cur[0]
-        np.logical_or(cur[1:], np.take(cur[:-1], perm, axis=1), out=nxt[1:])
+        np.logical_or(cur[1:], src[: n_classes - 1], out=nxt[1:])
         if capped:
-            nxt[-1] |= np.take(cur[-1], perm)
+            nxt[-1] |= src[-1]
     return reach
 
 

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .arith import factorize
-from .errors import CarmkitError, DomainError
+from .errors import AssemblyError, CarmkitError, DomainError
 from .korselt import Census, census, korselt_check
 from .pipeline import (
     Caps,
@@ -377,12 +377,12 @@ def main(argv=None) -> int:
     cfg = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return run(cfg)
+    except (AssertionError, AssemblyError) as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
     except CarmkitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except AssertionError as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

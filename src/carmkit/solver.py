@@ -6,9 +6,9 @@ beyond that, and a full 2**n scan as the exhaustive oracle for small pools.
 Meet-in-the-middle sorts one half's subsets as (product, size, mask) keys and
 binary-searches them for each mask of the other half, in mask order, for any
 modulus. Every pool element is a unit and the DP starts from 1, so the DP
-table has one column per unit, phi(m) in all, found through an m-entry
-residue -> unit index map. A found subset is certified by independent
-re-checks before a certificate is emitted.
+table covers the phi(m) units only, with one axis of phi(q) positions per
+prime power q of m, as the CRT splits the unit group. A found subset is
+certified by independent re-checks before a certificate is emitted.
 """
 
 from __future__ import annotations
@@ -270,8 +270,6 @@ def _find_mitm(pool, modulus, target, min_size, max_size):
 
 
 def _find_dp(pool, modulus, target, min_size, max_size):
-    if math.gcd(target, modulus) > 1:
-        return None  # every product of units is a unit
     n = len(pool)
     if modulus >= _kernels.INT64_MOD_LIMIT:
         raise CapacityError(
@@ -279,36 +277,30 @@ def _find_dp(pool, modulus, target, min_size, max_size):
         )
     capped = max_size is None
     n_classes = (min_size if capped else max_size) + 1
-    fact = factorize(modulus)
-    # the table has phi(m) columns; the residue -> unit index map has m entries
-    cells = (n + 1) * n_classes * euler_phi(fact) + modulus
+    pq = [(p, p**e) for p, e in factorize(modulus).pairs]
+    cells = (n + 1) * n_classes * math.prod(q - q // p for p, q in pq)  # phi(m) units
     if cells > DP_CELL_BOUND:
         raise CapacityError(
             f"DP table would need {cells} cells (> {DP_CELL_BOUND}); reduce the pool"
         )
-    is_unit = np.ones(modulus, dtype=bool)
-    for p in fact.primes():
-        is_unit[::p] = False
-    units = np.flatnonzero(is_unit)
-    del is_unit
-    index = np.full(modulus, -1, dtype=np.int32)  # position of each unit in ``units``
-    index[units] = np.arange(units.shape[0], dtype=np.int32)
-    inv = np.array([pow(p, -1, modulus) for p in pool], dtype=np.int64)
-    reach = _kernels.dp_reach(inv, units, index, n_classes, capped)
+    inv = [pow(p, -1, modulus) for p in pool]
+    reach = _kernels.dp_reach(inv, pq, n_classes, capped)
+    def reached(i, c, r):  # a unit's cell: its position mod each prime power
+        return reach[(i, c) + tuple(_kernels.unit_position(r, p, q) for p, q in pq)]
     top = n_classes - 1
     end_classes = [top] if capped else list(range(min_size, n_classes))
-    end_c = next((c for c in end_classes if reach[n, c, index[target]]), None)
+    end_c = next((c for c in end_classes if reached(n, c, target)), None)
     if end_c is None:
         return None
     taken = []
     c, r = end_c, target
     for i in range(n, 0, -1):
-        if reach[i - 1, c, index[r]]:
+        if reached(i - 1, c, r):
             continue
-        r_prev = r * int(inv[i - 1]) % modulus
+        r_prev = r * inv[i - 1] % modulus
         cands = (c - 1, c) if (capped and c == top) else (c - 1,)
         for cp in cands:
-            if cp >= 0 and reach[i - 1, cp, index[r_prev]]:
+            if cp >= 0 and reached(i - 1, cp, r_prev):
                 taken.append(i - 1)
                 c, r = cp, r_prev
                 break
@@ -322,9 +314,9 @@ def subset_product_find(pool, modulus: int, target: int, min_size: int, max_size
     ``modulus``, with min_size <= size <= max_size, or None if none exists.
 
     Complete: meet-in-the-middle for pools up to 40 elements, a DP over the
-    phi(modulus) units with witness reconstruction beyond that. The DP answers
-    None at once for a target that is not a unit, and raises CapacityError
-    when its table and unit index would exceed DP_CELL_BOUND cells.
+    phi(modulus) units with witness reconstruction beyond that. A target that
+    is not a unit is answered None before either search; the DP raises
+    CapacityError when its table would exceed DP_CELL_BOUND cells.
     Meet-in-the-middle splits the pool into a left and a right half, keeps
     the right half as a sorted array of (product, size, mask) keys and scans
     the left masks in mask order; it returns the first left mask that has a
@@ -335,8 +327,8 @@ def subset_product_find(pool, modulus: int, target: int, min_size: int, max_size
     if max_size is not None and max_size < min_size:
         raise DomainError(f"max_size {max_size} < min_size {min_size}")
     target %= modulus
-    if len(pool) < min_size:
-        return None
+    if len(pool) < min_size or math.gcd(target, modulus) > 1:
+        return None  # too few elements, or a non-unit target: a product of units is a unit
     if max_size is not None and max_size >= len(pool):
         max_size = None  # no larger subset exists; search as with no bound
     if len(pool) <= MITM_LIMIT:

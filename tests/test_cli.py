@@ -422,6 +422,15 @@ def test_cli_construct_erdos_never_claims_absence_wrongly(monkeypatch, capsys):
     assert err == "internal error: subset search missed a subset the exhaustive scan finds\n"
 
 
+def test_cli_construct_certificate_failure_is_internal_error(monkeypatch, capsys):
+    # a returned subset that fails certification is a disagreement, not a capacity error
+    monkeypatch.setattr(cli, "subset_product_find", lambda *args, **kwargs: (0, 1, 2))
+    code, out, err = run_cli(capsys, "construct", "--modulus", "4", "--residue", "3",
+                             "--lambda", "630")
+    assert (code, out) == (4, "")
+    assert err == "internal error: certificate check failed: korselt (n = 6479)\n"
+
+
 def test_cli_solve_max_size_below_min_size_is_usage_error():
     for sizes in (("--min-size", "3", "--max-size", "2"), ("--min-size", "1", "--max-size", "0")):
         with pytest.raises(SystemExit) as ei:
@@ -522,7 +531,7 @@ def test_cli_dp_capacity_guard_allocates_nothing(tmp_path, capsys):
                              "--lambda", "720720")
     assert (code, out) == (3, "")
     assert err == (
-        f"error: DP table would need 760189680 cells (> {solver.DP_CELL_BOUND}); "
+        f"error: DP table would need 746496000 cells (> {solver.DP_CELL_BOUND}); "
         "reduce the pool\n"
     )
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from carmkit import _kernels as K
+from carmkit import arith
 
 
 def brute_lpf(n):
@@ -153,24 +154,25 @@ def test_carmichael_segment_backends_agree(lo, hi):
 
 
 def test_dp_reach_backends_agree():
-    # the kernel's table is the all-residue oracle's table restricted to the
-    # units; m = 1, a prime, prime powers and moduli with 3 and 4 distinct primes
+    # the kernel's table is the all-residue oracle's table on the units, each
+    # unit at its position mod each prime power of m; m = 1, a prime, prime
+    # powers and moduli with 3 and 4 prime-power factors, 2**4 among them
     rng = random.Random(17)
-    for m in (1, 2, 101, 3**4, 2**5, 60, 210, 1155):
+    for m in (1, 2, 101, 3**4, 2**5, 60, 210, 720, 1155):
+        pq = [(p, p**e) for p, e in arith.factorize(m).pairs]
         units = [u for u in range(m) if math.gcd(u, m) == 1]
         non_units = [r for r in range(m) if math.gcd(r, m) != 1]
-        index = np.full(m, -1, dtype=np.int32)
-        index[units] = np.arange(len(units))
         for _ in range(6):
             n = rng.randrange(1, 14)
             res = [rng.choice(units) for _ in range(n)]
-            inv = np.array([pow(r, -1, m) for r in res], dtype=np.int64)
             n_classes = rng.randrange(2, 5)
             capped = rng.random() < 0.5
-            a = K.dp_reach(inv, np.array(units, dtype=np.int64), index, n_classes, capped)
+            a = K.dp_reach([pow(r, -1, m) for r in res], pq, n_classes, capped)
             b = dp_reach_loops(res, m, n_classes, capped, 1 % m)
-            assert a.shape == (n + 1, n_classes, len(units))
-            assert np.array_equal(a, b[:, :, units]), m
+            assert a.shape == (n + 1, n_classes, *(q - q // p for p, q in pq))
+            for u in units:
+                cell = tuple(K.unit_position(u, p, q) for p, q in pq)
+                assert np.array_equal(a[(slice(None), slice(None)) + cell], b[:, :, u]), m
             assert not b[:, :, non_units].any(), m
 
 

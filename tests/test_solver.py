@@ -272,7 +272,7 @@ def test_subset_find_dp_none_agrees_with_mitm():
     assert solver.subset_product_find(pool[:20], m, 3, 1) is None  # MITM path agrees
 
 
-def test_subset_find_dp_non_unit_target():
+def test_subset_find_dp_non_unit_target(monkeypatch):
     # a product of units is a unit, so a non-unit target is unreachable
     rng = random.Random(53)
     pool = [rng.choice(units_of(15)) for _ in range(45)]
@@ -287,6 +287,12 @@ def test_subset_find_dp_non_unit_target():
     # mod 1 the one residue, 0, is a unit
     got = solver.subset_product_find(pool, 1, 0, 3)
     assert got is not None and len(got) >= 3
+    # decided before meet-in-the-middle forms any subset product too
+    monkeypatch.setattr(_kernels, "all_subset_products", lambda *args: pytest.fail("searched"))
+    pool = pipeline.erdos_pool(720720, 19, 40)
+    assert len(pool) == 40
+    for target in (2, 19, 38):
+        assert solver.subset_product_find(pool, 720720 * 19, target, 3) is None
 
 
 def test_subset_find_trivial_modulus():
