@@ -23,6 +23,7 @@ from .sieve import SmoothPrimeQuery, build_Q
 
 X_MAX_BITS = 1_000_000
 DIVISOR_CAP = 2**17  # divisors one divisor walk may list
+K0_SCAN_CAP = 2**21  # candidates d*k+1 one find_k0 scan may test
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,11 @@ def compute_x(M: int, L: int, B) -> int:
 
 
 def faithful_x_log2(M: int, L: int, B) -> float:
-    """log2 of the uncapped x, for recording when the exact value is oversized."""
-    return math.log2(M * L) * float(2 / _as_fraction(B))
+    """log2 of the uncapped x (math.inf past float range), for recording when x is oversized."""
+    try:
+        return math.log2(M * L) * float(2 / _as_fraction(B))
+    except OverflowError:
+        return math.inf
 
 
 def build_L(Q) -> tuple[int, Factorization]:
@@ -194,7 +198,8 @@ def find_k0(
 
     A k counts the primes p = d*k+1 <= x over d | L that are coprime to M*L
     and pass the enabled filters; its d are the prefix d <= (x-1)//k of one
-    divisor walk at k = 1. Smallest k wins ties. Raises if every k yields zero.
+    divisor walk at k = 1. Smallest k wins ties. Raises if every k yields zero,
+    and, before any primality test, if there are more than K0_SCAN_CAP candidates.
     """
     if x < 2:
         raise DomainError(f"x must be >= 2, got {x}")
@@ -202,8 +207,12 @@ def find_k0(
         raise DomainError(f"k_cap must be >= 1, got {k_cap}")
     L = L_fact.value()
     divs = _divisors_upto(L_fact, x - 1)
+    k_max = min(k_cap, x - 1)
+    candidates = sum(min(k_max, (x - 1) // d) for d in divs)
+    if candidates > K0_SCAN_CAP:
+        raise CapacityError(f"{candidates} k0 candidates exceed the k0 scan cap {K0_SCAN_CAP}")
     best_k, best_count = 0, 0
-    for k in range(1, min(k_cap, x - 1) + 1):
+    for k in range(1, k_max + 1):
         if math.gcd(k, L) != 1:
             continue
         prefix = divs[: bisect_right(divs, (x - 1) // k)]

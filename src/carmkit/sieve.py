@@ -38,11 +38,18 @@ class SmoothPrimeQuery:
 
     @property
     def window_low(self) -> int:
-        return math.ceil(self.y**self.theta / math.log(self.y))
+        return math.ceil(self._top() / math.log(self.y))
 
     @property
     def window_high(self) -> int:
-        return math.floor(self.y**self.theta)
+        return math.floor(self._top())
+
+    def _top(self) -> float:
+        """y**theta; one too large for a float is far above the sieve capacity."""
+        try:
+            return self.y**self.theta
+        except OverflowError:
+            raise CapacityError(f"y**theta exceeds sieve capacity {SIEVE_CAPACITY}") from None
 
 
 def _smooth_primes(start: int, stop: int, d: int, b: int, v: int) -> np.ndarray:

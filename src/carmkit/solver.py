@@ -44,8 +44,7 @@ MITM_LIMIT = 40
 ENUMERATE_LIMIT = 24
 DP_CELL_BOUND = 200_000_000
 EXACT_GROUP_CAP = 36  # largest unit group exact_identity_threshold searches
-_MITM_CHUNK = 1 << 14  # left masks looked up per searchsorted call
-_SCAN_BLOCK = 1 << 14  # masks formed per step of the exhaustive scan
+_MASK_BLOCK = 1 << 14  # masks one numpy step looks up (MITM) or forms (exhaustive scan)
 
 
 @dataclass(frozen=True)
@@ -251,9 +250,9 @@ def _find_mitm(pool, modulus, target, min_size, max_size):
     table = np.sort((rp * w + rs) << nb | np.arange(1 << nb))
     # left half: the product each left mask needs from the right
     inv, sizes = _kernels.all_subset_products([pow(e, -1, modulus) for e in left], modulus)
-    for start in range(0, inv.shape[0], _MITM_CHUNK):
-        base = inv[start : start + _MITM_CHUNK] * target % modulus * w
-        sl = sizes[start : start + _MITM_CHUNK].astype(np.int64)
+    for start in range(0, inv.shape[0], _MASK_BLOCK):
+        base = inv[start : start + _MASK_BLOCK] * target % modulus * w
+        sl = sizes[start : start + _MASK_BLOCK].astype(np.int64)
         # right sizes allowed; hi <= nb keeps each lookup inside its product's keys
         lo = np.maximum(min_size - sl, 0)
         hi = np.minimum(cap - sl, nb)
@@ -342,7 +341,7 @@ def subset_product_enumerate(
     """Every qualifying index subset, by full 2**n scan (n <= 24), ascending by mask.
 
     The low half's products are built once and multiplied by a block of high
-    masks' products at a time, so memory stays O(_SCAN_BLOCK).
+    masks' products at a time, so memory stays O(_MASK_BLOCK).
     """
     pool = _validate_pool(pool, modulus, min_size)
     n = len(pool)
@@ -353,7 +352,7 @@ def subset_product_enumerate(
     nl = (n + 1) // 2
     lp, ls = _kernels.all_subset_products([p % modulus for p in pool[:nl]], modulus)
     hp, hs = _kernels.all_subset_products([p % modulus for p in pool[nl:]], modulus)
-    rows = max(_SCAN_BLOCK >> nl, 1)  # high masks per block
+    rows = max(_MASK_BLOCK >> nl, 1)  # high masks per block
     masks: list[int] = []
     for h in range(0, hp.shape[0], rows):
         # row r, column l is mask (h + r) << nl | l

@@ -1,5 +1,7 @@
 import math
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -80,6 +82,24 @@ def test_factorize_budget_exhaustion(monkeypatch):
         arith.factorize(p * q)
     assert ei.value.cofactor > 1
     assert (p * q) % ei.value.cofactor == 0
+
+
+def test_factorize_many_factors():
+    # trial division takes these apart; Brent rho alone would need minutes
+    primes = sorted(random.Random(1000).sample(sorted(sieve_set(10**5) - sieve_set(53)), 1000))
+    n = math.prod(primes)
+    assert n.bit_length() > 14_000
+    start = time.perf_counter()
+    f = arith.factorize(n)
+    assert time.perf_counter() - start < 2.0
+    assert f.pairs == tuple((p, 1) for p in primes)
+    for p in sorted(sieve_set(1999) - sieve_set(58)):
+        for k in range(1, 12):
+            for c in (1, 59, 1009):
+                want = Counter({p: k})
+                if c > 1:
+                    want[c] += 1
+                assert arith.factorize(p**k * c).pairs == tuple(sorted(want.items())), (p, k, c)
 
 
 def test_factorize_domain():

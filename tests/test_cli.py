@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from carmkit import arith, cli, korselt, pipeline, solver
+from carmkit import arith, cli, korselt, pipeline, sieve, solver
 from carmkit.errors import DomainError
 from carmkit.korselt import Census, census
 from carmkit.solver import AssemblySpec
@@ -362,6 +362,33 @@ def test_cli_capacity_exit_code(capsys):
     code, out, err = run_cli(capsys, "construct", "--mode", "agp", "--modulus", "1",
                              "--residue", "0", "--y", "60", "--theta", "1.5", "--B", "2/5")
     assert (code, out) == (3, "") and cap in err
+
+
+def test_cli_construct_agp_float_overflow_is_no_traceback(capsys):
+    agp = ("construct", "--mode", "agp", "--modulus", "1", "--residue", "0",
+           "--x-cap", "1000000", "--k-cap", "10", "--no-qr-filter", "--no-residue-filter")
+    # a window end y**theta beyond a float is beyond the sieve capacity
+    for y, theta in ((10**400, "1.5"), (10**200, "1.9"), (10**8, "1.9")):
+        code, out, err = run_cli(capsys, *agp, "--y", str(y), "--theta", theta, "--B", "2/5")
+        assert (code, out) == (3, "")
+        assert f"exceeds sieve capacity {sieve.SIEVE_CAPACITY}" in err
+    # a B too small for log2 x to be a float is recorded as inf; the capped scan runs as usual
+    runs = [run_cli(capsys, *agp, "--y", "30", "--theta", "1.3", "--B", B)
+            for B in ("1e-400", f"1/{10**300}")]
+    none = ("no qualifying subset in pool of 9 primes; "
+            "exhaustive scan of 512 subsets confirms none exists\n")
+    assert [(code, err) for code, _, err in runs] == [(1, none), (1, none)]
+
+
+def test_cli_construct_agp_k0_scan_cap(capsys):
+    cap = f"k0 scan cap {pipeline.K0_SCAN_CAP}"
+    agp = ("construct", "--mode", "agp", "--modulus", "1", "--residue", "0", "--B", "2/5",
+           "--x-cap", "1000000000000", "--no-qr-filter", "--no-residue-filter")
+    for extra in (("--y", "40", "--theta", "1.5"),
+                  ("--y", "30", "--theta", "1.3", "--pool-cap", "30",
+                   "--k-cap", "1000000000000")):
+        code, out, err = run_cli(capsys, *agp, *extra)
+        assert (code, out) == (3, "") and cap in err
 
 
 def test_cli_output_file(tmp_path, capsys):

@@ -177,10 +177,37 @@ def test_find_k0_divisor_cap():
     # the 18 odd primes to 67: 2**18 divisors, all below this x
     odd_18 = arith.factorize(math.prod(
         (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)))
-    with pytest.raises(CapacityError, match=f"divisor cap {pipeline.DIVISOR_CAP}"):
-        pipeline.find_k0(odd_18, 1 << 200, 1, 0, PoolFilters(), 1)
+    # the walk's cap comes first, also where the k0 scan cap would fire too
+    for k_cap in (1, 10**12):
+        with pytest.raises(CapacityError, match=f"divisor cap {pipeline.DIVISOR_CAP}"):
+            pipeline.find_k0(odd_18, 1 << 200, 1, 0, PoolFilters(), k_cap)
     # below a small x the same L has few divisors and walks fine
     assert pipeline.find_k0(odd_18, 10**6, 1, 0, PoolFilters(), 4)[1] > 0
+
+
+def test_find_k0_candidate_cap_before_any_primality_test(monkeypatch):
+    class Scanned(Exception):
+        pass
+
+    def is_prime(n):
+        raise Scanned
+
+    monkeypatch.setattr(pipeline, "is_prime", is_prime)
+    cap = f"k0 scan cap {pipeline.K0_SCAN_CAP}"
+    # L = 1 has the one divisor 1, so the scan has min(k_cap, x-1) candidates
+    one = arith.factorize(1)
+    with pytest.raises(CapacityError, match=cap):
+        pipeline.find_k0(one, pipeline.K0_SCAN_CAP + 2, 1, 0, PoolFilters(), 10**12)
+    with pytest.raises(Scanned):
+        pipeline.find_k0(one, pipeline.K0_SCAN_CAP + 1, 1, 0, PoolFilters(), 10**12)
+    with pytest.raises(Scanned):
+        pipeline.find_k0(one, 10**12, 1, 0, PoolFilters(), pipeline.K0_SCAN_CAP)
+    # the sum over d | 1463 of min(k_cap, x-1, (x-1)//d)
+    L = arith.factorize(1463)  # 7 * 11 * 19
+    with pytest.raises(CapacityError, match="2099791 k0 candidates"):
+        pipeline.find_k0(L, 1_600_000, 1, 0, PoolFilters(), 10**12)
+    with pytest.raises(Scanned):  # 1499792 candidates
+        pipeline.find_k0(L, 1_600_000, 1, 0, PoolFilters(), 10**6)
 
 
 def test_erdos_pool_pinned():

@@ -408,7 +408,7 @@ def test_subset_find_mitm_first_hit_past_first_chunk(m, n):
     got = solver.subset_product_find(pool, m, target, 3)
     assert got == find_mitm_dict(pool, m, target, 3)
     lmask = sum(1 << i for i in got if i <= top)
-    assert lmask >= solver._MITM_CHUNK
+    assert lmask >= solver._MASK_BLOCK
 
 
 def test_zero_sum_threshold_spotcheck():
