@@ -3,6 +3,14 @@
 Everything operates on Python ints (arbitrary precision). Primality is
 deterministic below 2**64 and strong-probable-prime + strong Lucas above;
 ``PROBABLE_PRIME_THRESHOLD`` marks where results become probabilistic.
+
+Below 2**64, Miller-Rabin runs the smallest known base set for n's size, from
+one table of (bound, bases): no composite below the bound is a strong
+pseudoprime to every base of its set. The search method and the prime-base
+bounds (OEIS A014233) are Jaeschke's ("On strong pseudoprimes to several
+bases", Math. Comp. 61, 1993). The 3- to 6-base sets come from later
+searches, as tabulated at miller-rabin.appspot.com and in sympy's
+``isprime``; the 7-base set to 2**64 is Sinclair's.
 """
 
 from __future__ import annotations
@@ -13,8 +21,19 @@ from typing import Iterator
 
 from .errors import CrtConflictError, DomainError, UnfactoredError
 
-# Verified deterministic Miller-Rabin witness set for n < 2**64.
-_MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (bound, bases): Miller-Rabin over the bases is exact for n < bound, and each
+# bound but 2**64 is itself a composite strong pseudoprime to its own set.
+_MR_TABLE = (
+    (350269456337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
+    (55245642489451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
+    (7999252175582851,
+     (2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805)),
+    (585226005592931977,
+     (2, 123635709730000, 9233062284813009, 43835965440333360, 761179012939631437,
+      1263739024124850375)),
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+)
+_MR_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # with strong Lucas, above 2**64
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 PROBABLE_PRIME_THRESHOLD = 1 << 64
@@ -142,7 +161,7 @@ def _strong_lucas(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: exact below 2**64, Baillie-PSW style above.
+    """Primality test: exact below 2**64 (the base table), Baillie-PSW style above.
 
     Above ``PROBABLE_PRIME_THRESHOLD`` the answer is a strong-probable-prime +
     strong Lucas verdict with no known counterexample; callers that certify
@@ -153,9 +172,10 @@ def is_prime(n: int) -> bool:
     for p in _TRIAL_PRIMES:
         if n % p == 0:
             return n == p
-    if n < PROBABLE_PRIME_THRESHOLD:
-        return _miller_rabin(n, _MR_BASES_64)
-    return _miller_rabin(n, _MR_BASES_64) and _strong_lucas(n)
+    for bound, bases in _MR_TABLE:
+        if n < bound:
+            return _miller_rabin(n, bases)
+    return _miller_rabin(n, _MR_PRIME_BASES) and _strong_lucas(n)
 
 
 def _pollard_brent(n: int, seed: int, budget: int) -> tuple[int, int]:

@@ -1,10 +1,11 @@
 """Construction pipeline: smooth primes -> modulus L -> multiplier k0 -> prime pool.
 
 Two modes share one pool rule: primes p = d*k + 1 over divisors d of L, coprime
-to M*L, listed by one bounded divisor walk. In "agp" mode L is the squarefree
-product of shifted-smooth primes, p <= x, the multiplier k0 is the k whose pool
-is largest, and the primes may be filtered to quadratic residues mod L and to
-a residue class mod M. "erdos" mode is that rule at k = 1 over every divisor
+to M*L, listed by one bounded divisor walk and sieved by the primes to 53 on
+the grid of all (d, k) before any primality test. In "agp" mode L is the
+squarefree product of shifted-smooth primes, p <= x, the multiplier k0 is the
+k whose pool is largest, and the primes may be filtered to quadratic residues
+mod L and to a residue class mod M. "erdos" mode is that rule at k = 1 over every divisor
 of a directly chosen smooth L = Lambda, unfiltered, so p-1 | Lambda; it is the
 default desk-scale path since the faithful x = ceil((M*L)**(2/B)) is
 astronomically large even for tiny prime sets.
@@ -14,10 +15,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import Factorization, factorize, is_prime, jacobi, nth_root_floor
+import numpy as np
+
+from .arith import _TRIAL_PRIMES, Factorization, factorize, is_prime, jacobi, nth_root_floor
 from .errors import CapacityError, ConstructionError, DomainError
 from .sieve import SmoothPrimeQuery, build_Q
 
@@ -175,20 +180,50 @@ def _divisors_upto(fact: Factorization, bound: int) -> list[int]:
     return divs
 
 
-def _pool_pairs(
-    divs: list[int], k: int, L_fact: Factorization, M: int, a: int, filters: PoolFilters
-) -> list[tuple[int, int]]:
-    """The pool rule: all (p, d) over d in divs with p = d*k + 1 prime, p
-    coprime to M*L and passing the enabled filters, in the order of divs."""
+def _candidates(divs: list[int], ks: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid of candidates d*k + 1, k in ks (ascending) and d in divs with
+    d <= limit // k, as flat index arrays (into divs, into ks), k-major and in
+    the order of divs."""
+    # d <= limit // k iff k <= limit // d: a k's prefix holds the d whose reach is
+    # at least k, and reach capped at the largest k fits the dtype of ks
+    reach = np.array([min(limit // d, int(ks[-1])) for d in reversed(divs)], dtype=ks.dtype)
+    lens = len(divs) - np.searchsorted(reach, ks)
+    k_at = np.repeat(np.arange(len(ks), dtype=np.int32), lens)
+    starts = np.repeat((np.cumsum(lens) - lens).astype(np.int32), lens)
+    return np.arange(k_at.size, dtype=np.int32) - starts, k_at
+
+
+def _pool_grid(
+    divs: list[int], ks: np.ndarray, limit: int, L_fact: Factorization, M: int, a: int,
+    filters: PoolFilters,
+) -> Iterator[tuple[int, int, int]]:
+    """The pool rule over the candidate grid: the triples (k, p, d), k in ks
+    (ascending) and d in divs with d <= limit // k, where p = d*k + 1 is prime,
+    coprime to M*L and passes the enabled filters, k-major and in the order
+    of divs.
+
+    Before any primality test, a candidate with a factor r in _TRIAL_PRIMES
+    other than itself is struck, read from (d mod r)(k mod r) + 1 = 0 (mod r)
+    at any size of d and k, and so is one outside the residue class a mod M.
+    """
+    d_at, k_at = _candidates(divs, ks, limit)
+    # a candidate p <= 53 may be a sieving prime itself: is_prime decides it
+    top = _TRIAL_PRIMES[-1] - 1
+    low = np.array(divs[: bisect_right(divs, top)], dtype=np.int64)
+    small = d_at < np.searchsorted(low, top // ks, side="right")[k_at]
+    live = np.flatnonzero(~small)
+    for r in _TRIAL_PRIMES:
+        d_mod = np.array([d % r for d in divs], dtype=np.int16)
+        live = live[(d_mod[d_at[live]] * (ks % r).astype(np.int16)[k_at[live]] + 1) % r != 0]
+    live = np.sort(np.concatenate((np.flatnonzero(small), live)))
     ML = M * L_fact.value()
-    out = []
-    for d in divs:
+    for i, k in zip(d_at[live].tolist(), ks[k_at[live]].tolist()):
+        d = divs[i]
         p = d * k + 1
-        if (is_prime(p) and ML % p != 0
-                and (not filters.require_qr or is_qr_mod_L(p, L_fact))
-                and (not filters.require_residue or p % M == a % M)):
-            out.append((p, d))
-    return out
+        if ((not filters.require_residue or p % M == a % M)
+                and is_prime(p) and ML % p != 0
+                and (not filters.require_qr or is_qr_mod_L(p, L_fact))):
+            yield k, p, d
 
 
 def find_k0(
@@ -198,8 +233,9 @@ def find_k0(
 
     A k counts the primes p = d*k+1 <= x over d | L that are coprime to M*L
     and pass the enabled filters; its d are the prefix d <= (x-1)//k of one
-    divisor walk at k = 1. Smallest k wins ties. Raises if every k yields zero,
-    and, before any primality test, if there are more than K0_SCAN_CAP candidates.
+    divisor walk at k = 1, and all k go through one pool-rule grid. Smallest
+    k wins ties. Raises if every k yields zero, and, before any primality
+    test, if there are more than K0_SCAN_CAP candidates.
     """
     if x < 2:
         raise DomainError(f"x must be >= 2, got {x}")
@@ -211,17 +247,13 @@ def find_k0(
     candidates = sum(min(k_max, (x - 1) // d) for d in divs)
     if candidates > K0_SCAN_CAP:
         raise CapacityError(f"{candidates} k0 candidates exceed the k0 scan cap {K0_SCAN_CAP}")
-    best_k, best_count = 0, 0
-    for k in range(1, k_max + 1):
-        if math.gcd(k, L) != 1:
-            continue
-        prefix = divs[: bisect_right(divs, (x - 1) // k)]
-        count = len(_pool_pairs(prefix, k, L_fact, M, a, filters))
-        if count > best_count:
-            best_k, best_count = k, count
-    if best_count == 0:
+    ks = np.fromiter((k for k in range(1, k_max + 1) if math.gcd(k, L) == 1), dtype=np.int64)
+    # counted in ascending k, so max() meets the smallest k of a tie first
+    counts = Counter(k for k, _, _ in _pool_grid(divs, ks, x - 1, L_fact, M, a, filters))
+    if not counts:
         raise ConstructionError(f"no multiplier k <= {k_cap} yields any pool prime")
-    return best_k, best_count
+    k0 = max(counts, key=counts.__getitem__)
+    return k0, counts[k0]
 
 
 def build_pool(
@@ -233,7 +265,8 @@ def build_pool(
     from find_k0, which only picks k0 coprime to L.
     """
     divs = _divisors_upto(L_fact, (x - 1) // k0)
-    return _pool_pairs(divs, k0, L_fact, params.M, params.a, params.filters)[: params.caps.pool_cap]
+    grid = _pool_grid(divs, np.array([k0]), x - 1, L_fact, params.M, params.a, params.filters)
+    return [(p, d) for _, p, d in grid][: params.caps.pool_cap]
 
 
 def erdos_pool(Lambda: int, M: int, pool_cap: int | None = None) -> list[int]:
@@ -245,8 +278,8 @@ def erdos_pool(Lambda: int, M: int, pool_cap: int | None = None) -> list[int]:
     if Lambda < 2:
         raise DomainError(f"Lambda must be >= 2, got {Lambda}")
     f = factorize(Lambda)
-    pairs = _pool_pairs(_divisors_upto(f, Lambda), 1, f, M, 0, PoolFilters())
-    return [p for p, _ in pairs][:pool_cap]
+    grid = _pool_grid(_divisors_upto(f, Lambda), np.array([1]), Lambda, f, M, 0, PoolFilters())
+    return [p for _, p, _ in grid][:pool_cap]
 
 
 def run_agp_construction(params: ConstructionParams) -> ConstructionState:

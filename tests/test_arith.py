@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -26,8 +30,8 @@ def test_is_prime_examples():
 
 
 def test_is_prime_exhaustive_small():
-    primes = sieve_set(20_000)
-    for n in range(20_000):
+    primes = sieve_set(10**6)
+    for n in range(10**6):
         assert arith.is_prime(n) == (n in primes), n
 
 
@@ -35,6 +39,79 @@ def test_is_prime_strong_pseudoprimes():
     # composites that fool small Miller-Rabin base sets
     for n in (3215031751, 3825123056546413051, 341550071728321):
         assert not arith.is_prime(n)
+
+
+# the upper ends of the base table's bands, the last one where proofs stop
+BAND_ENDS = (350269456337, 55245642489451, 7999252175582851, 585226005592931977, 2**64)
+
+
+def test_is_prime_table_bounds_are_pseudoprimes_to_their_sets():
+    assert tuple(bound for bound, _ in arith._MR_TABLE) == BAND_ENDS
+    assert BAND_ENDS[-1] == arith.PROBABLE_PRIME_THRESHOLD
+    factors = {350269456337: (197279, 1775503), 55245642489451: (3716371, 14865481),
+               7999252175582851: (9227, 894923, 968731),
+               585226005592931977: (382500329, 1530001313)}
+    for bound, bases in arith._MR_TABLE[:-1]:
+        assert math.prod(factors[bound]) == bound
+        # the set does not decide its own bound, so the next band's set must
+        assert arith._miller_rabin(bound, bases)
+        assert not arith.is_prime(bound)
+
+
+def test_is_prime_rejects_A014233():
+    # OEIS A014233: the least odd composite that is a strong pseudoprime to
+    # each of the first k prime bases, k = 1..13, all below 2**82
+    a014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+               341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+               3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+    primes = sorted(sieve_set(41))
+    for k, n in enumerate(a014233, 1):
+        assert n < 2**82
+        assert arith._miller_rabin(n, primes[:k])
+        assert not arith.is_prime(n), n
+
+
+def _prime_by_trial(n):
+    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_rejects_chernick_in_every_band():
+    # (6k+1)(12k+1)(18k+1) with three prime factors is a Carmichael number;
+    # factors above 53 leave it to Miller-Rabin, one per band and one above
+    for lo, hi in zip((0,) + BAND_ENDS, BAND_ENDS + (2**80,)):
+        k = max(9, arith.nth_root_floor(lo // 1296, 3))
+        while not (lo <= 1296 * k**3
+                   and all(_prime_by_trial(f) for f in (6 * k + 1, 12 * k + 1, 18 * k + 1))):
+            k += 1
+        n = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+        assert lo <= n < hi and pow(2, n - 1, n) == 1
+        assert not arith.is_prime(n), n
+
+
+def test_is_prime_bands_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(13)
+    for lo, hi in zip((2,) + BAND_ENDS, BAND_ENDS + (2**70,)):
+        picks = [rng.randrange(lo, hi) for _ in range(200)]
+        picks += [sympy.nextprime(rng.randrange(lo, hi)) for _ in range(30)]
+        # products of two primes near the square root: composites only Miller-Rabin catches
+        roots = (math.isqrt(lo) + 1, math.isqrt(hi))
+        picks += [sympy.nextprime(rng.randrange(*roots)) * sympy.nextprime(rng.randrange(*roots))
+                  for _ in range(30)]
+        for n in picks:
+            assert arith.is_prime(n) == sympy.isprime(n), n
+    for end in BAND_ENDS:
+        for n in range(end - 1000, end + 1001):
+            assert arith.is_prime(n) == sympy.isprime(n), n
+
+
+def test_import_arith_loads_no_numpy():
+    src = Path(arith.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, carmkit.arith; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "False\n", "")
 
 
 def test_is_prime_large_against_sympy():

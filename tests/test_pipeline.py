@@ -9,12 +9,19 @@ from carmkit.errors import CapacityError, ConstructionError, DomainError
 from carmkit.pipeline import Caps, ConstructionParams, PoolFilters
 
 
+def oracle_is_prime(n):
+    """Primality apart from carmkit.arith: trial division, or sympy past 10**8."""
+    if n < 10**8:
+        return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+    return pytest.importorskip("sympy").isprime(n)
+
+
 def brute_pool(L, k, x, M, a, require_qr=False, require_residue=False):
     Lf = arith.factorize(L)
     out = []
     for d in arith.divisors(Lf):
         p = d * k + 1
-        if p > x or not arith.is_prime(p) or (M * L) % p == 0:
+        if p > x or not oracle_is_prime(p) or (M * L) % p == 0:
             continue
         if require_qr and not pipeline.is_qr_mod_L(p, Lf):
             continue
@@ -131,11 +138,52 @@ def test_find_k0_errors():
 
 
 def test_find_k0_stops_below_x(monkeypatch):
-    # for k >= x every p = d*k + 1 exceeds x, so no such k reaches the pool rule
-    rule, calls = pipeline._pool_pairs, []
-    monkeypatch.setattr(pipeline, "_pool_pairs", lambda *args: calls.append(args) or rule(*args))
+    # for k >= x every p = d*k + 1 exceeds x, so the grid forms no candidate for such k
+    grid, formed = pipeline._candidates, []
+
+    def counted(divs, ks, limit):
+        d_at, k_at = grid(divs, ks, limit)
+        formed.extend(divs[i] * k + 1 for i, k in zip(d_at.tolist(), ks[k_at].tolist()))
+        return d_at, k_at
+
+    monkeypatch.setattr(pipeline, "_candidates", counted)
     assert pipeline.find_k0(arith.factorize(77), 40, 1, 0, PoolFilters(), 10_000) == (2, 2)
-    assert 0 < len(calls) < 40
+    # every coprime k < 40 once with each d | 77 that keeps d*k + 1 <= 40, and nothing more
+    assert sorted(formed) == sorted(d * k + 1 for k in range(1, 40) if math.gcd(k, 77) == 1
+                                    for d in (1, 7, 11, 77) if d * k + 1 <= 40)
+
+
+def test_pool_rule_beyond_2_64():
+    # 12 primes above 53 make an L of 77 bits: candidates d*k + 1 straddle 2**64
+    L = math.prod((59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107))
+    Lf = arith.factorize(L)
+    x = 2**66
+    for M, a, qr in [(1, 0, False), (3, 2, True), (4, 3, True)]:
+        filters = PoolFilters(require_qr=qr, require_residue=M > 1)
+        got = pipeline.find_k0(Lf, x, M, a, filters, 4)
+        assert got == brute_find_k0(L, x, M, a, 4, require_qr=qr, require_residue=M > 1)
+        params = ConstructionParams(M=M, a=a, mode="agp", y=5, theta=1.5, B=Fraction(2, 5),
+                                    filters=filters)
+        pool = pipeline.build_pool(Lf, x, got[0], params)
+        assert pool == brute_pool(L, got[0], x, M, a, qr, M > 1)
+        assert len(pool) == got[1]
+        if M == 1:
+            assert pool[0][0] < 2**64 < pool[-1][0]
+
+
+def test_pool_rule_keeps_sieving_primes():
+    # p = d*k + 1 <= 53 may be a prime the grid sieves by: it stays in the pool,
+    # while its multiples, such as 4 = 3*1 + 1 or 21 = 5*4 + 1, are struck
+    for L, x, M in [(1, 60, 1), (15, 60, 1), (59 * 61, 200, 2), (105, 54, 1)]:
+        Lf = arith.factorize(L)
+        for k in range(1, 54):
+            params = ConstructionParams(M=M, a=1, mode="agp", y=5, theta=1.5, B=Fraction(2, 5),
+                                        filters=PoolFilters())
+            assert pipeline.build_pool(Lf, x, k, params) == brute_pool(L, k, x, M, 1), (L, k)
+        got = pipeline.find_k0(Lf, x, M, 1, PoolFilters(), 53)
+        assert got == brute_find_k0(L, x, M, 1, 53)
+    for q in arith._TRIAL_PRIMES:
+        assert pipeline.build_pool(arith.factorize(1), q, q - 1, _params()) == [(q, 1)]
 
 
 def _params(pool_cap=None, **filters):
@@ -238,7 +286,7 @@ def test_erdos_pool_is_agp_pool_at_k1():
         f = arith.factorize(lam)
         for M in (1, 4, rng.randrange(2, 100)):
             oracle = [d + 1 for d in arith.divisors(f)
-                      if arith.is_prime(d + 1) and (lam * M) % (d + 1) != 0]
+                      if oracle_is_prime(d + 1) and (lam * M) % (d + 1) != 0]
             for cap in (None, 5):
                 params = ConstructionParams(M=M, a=1, mode="agp", y=5, theta=1.5,
                                             B=Fraction(2, 5), caps=Caps(pool_cap=cap),
