@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .sieve import SmoothPrimeQuery, build_Q
 X_MAX_BITS = 1_000_000
 DIVISOR_CAP = 2**17  # divisors one divisor walk may list
 K0_SCAN_CAP = 2**21  # candidates d*k+1 one find_k0 scan may test
+_GRID_BLOCK = 2**16  # candidates the pool rule sieves at once
 
 
 @dataclass(frozen=True)
@@ -180,17 +181,26 @@ def _divisors_upto(fact: Factorization, bound: int) -> list[int]:
     return divs
 
 
-def _candidates(divs: list[int], ks: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
+def _candidates(
+    divs: list[int], ks: np.ndarray, limit: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The grid of candidates d*k + 1, k in ks (ascending) and d in divs with
     d <= limit // k, as flat index arrays (into divs, into ks), k-major and in
-    the order of divs."""
+    the order of divs, in consecutive blocks of at most _GRID_BLOCK candidates."""
     # d <= limit // k iff k <= limit // d: a k's prefix holds the d whose reach is
     # at least k, and reach capped at the largest k fits the dtype of ks
     reach = np.array([min(limit // d, int(ks[-1])) for d in reversed(divs)], dtype=ks.dtype)
-    lens = len(divs) - np.searchsorted(reach, ks)
-    k_at = np.repeat(np.arange(len(ks), dtype=np.int32), lens)
-    starts = np.repeat((np.cumsum(lens) - lens).astype(np.int32), lens)
-    return np.arange(k_at.size, dtype=np.int32) - starts, k_at
+    for first in range(0, len(ks), _GRID_BLOCK):  # no array spans more than _GRID_BLOCK ks
+        lens = len(divs) - np.searchsorted(reach, ks[first : first + _GRID_BLOCK])
+        ends = np.cumsum(lens)  # flat positions, counted from this run's first k
+        for lo in range(0, int(ends[-1]), _GRID_BLOCK):
+            hi = min(lo + _GRID_BLOCK, int(ends[-1]))
+            # the run's ks a..b hold [lo, hi); each gives the part of its prefix inside it
+            a, b = np.searchsorted(ends, [lo, hi - 1], side="right")
+            starts = ends[a : b + 1] - lens[a : b + 1]
+            counts = np.minimum(ends[a : b + 1], hi) - np.maximum(starts, lo)
+            yield (np.arange(lo, hi) - np.repeat(starts, counts),
+                   np.repeat(np.arange(first + a, first + b + 1), counts))
 
 
 def _pool_grid(
@@ -205,25 +215,28 @@ def _pool_grid(
     Before any primality test, a candidate with a factor r in _TRIAL_PRIMES
     other than itself is struck, read from (d mod r)(k mod r) + 1 = 0 (mod r)
     at any size of d and k, and so is one outside the residue class a mod M.
+    The grid is sieved one block of candidates at a time.
     """
-    d_at, k_at = _candidates(divs, ks, limit)
     # a candidate p <= 53 may be a sieving prime itself: is_prime decides it
     top = _TRIAL_PRIMES[-1] - 1
     low = np.array(divs[: bisect_right(divs, top)], dtype=np.int64)
-    small = d_at < np.searchsorted(low, top // ks, side="right")[k_at]
-    live = np.flatnonzero(~small)
-    for r in _TRIAL_PRIMES:
-        d_mod = np.array([d % r for d in divs], dtype=np.int16)
-        live = live[(d_mod[d_at[live]] * (ks % r).astype(np.int16)[k_at[live]] + 1) % r != 0]
-    live = np.sort(np.concatenate((np.flatnonzero(small), live)))
+    d_mods = [np.array([d % r for d in divs], dtype=np.int16) for r in _TRIAL_PRIMES]
     ML = M * L_fact.value()
-    for i, k in zip(d_at[live].tolist(), ks[k_at[live]].tolist()):
-        d = divs[i]
-        p = d * k + 1
-        if ((not filters.require_residue or p % M == a % M)
-                and is_prime(p) and ML % p != 0
-                and (not filters.require_qr or is_qr_mod_L(p, L_fact))):
-            yield k, p, d
+    for d_at, k_at in _candidates(divs, ks, limit):
+        # the block's ks are one run ks[k_at[0]:k_at[-1]+1]; per-k values are taken there
+        run, k_at = ks[k_at[0] : k_at[-1] + 1], k_at - k_at[0]
+        small = d_at < np.searchsorted(low, top // run, side="right")[k_at]
+        live = np.flatnonzero(~small)
+        for r, d_mod in zip(_TRIAL_PRIMES, d_mods):
+            live = live[(d_mod[d_at[live]] * (run % r).astype(np.int16)[k_at[live]] + 1) % r != 0]
+        live = np.sort(np.concatenate((np.flatnonzero(small), live)))
+        for i, k in zip(d_at[live].tolist(), run[k_at[live]].tolist()):
+            d = divs[i]
+            p = d * k + 1
+            if ((not filters.require_residue or p % M == a % M)
+                    and is_prime(p) and ML % p != 0
+                    and (not filters.require_qr or is_qr_mod_L(p, L_fact))):
+                yield k, p, d
 
 
 def find_k0(
@@ -247,13 +260,18 @@ def find_k0(
     candidates = sum(min(k_max, (x - 1) // d) for d in divs)
     if candidates > K0_SCAN_CAP:
         raise CapacityError(f"{candidates} k0 candidates exceed the k0 scan cap {K0_SCAN_CAP}")
-    ks = np.fromiter((k for k in range(1, k_max + 1) if math.gcd(k, L) == 1), dtype=np.int64)
-    # counted in ascending k, so max() meets the smallest k of a tie first
-    counts = Counter(k for k, _, _ in _pool_grid(divs, ks, x - 1, L_fact, M, a, filters))
-    if not counts:
+    # k_max <= candidates (d = 1 is a divisor) <= K0_SCAN_CAP, so int32 holds every k
+    ks = np.fromiter((k for k in range(1, k_max + 1) if math.gcd(k, L) == 1), dtype=np.int32)
+    # the grid is k-major, so each k's primes come in one run; only a strictly
+    # larger count displaces the best, so the smallest k of a tie wins
+    best = (0, 0)
+    for k, run in groupby(k for k, _, _ in _pool_grid(divs, ks, x - 1, L_fact, M, a, filters)):
+        count = sum(1 for _ in run)
+        if count > best[1]:
+            best = (k, count)
+    if not best[1]:
         raise ConstructionError(f"no multiplier k <= {k_cap} yields any pool prime")
-    k0 = max(counts, key=counts.__getitem__)
-    return k0, counts[k0]
+    return best
 
 
 def build_pool(

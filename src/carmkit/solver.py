@@ -5,15 +5,22 @@ elements, a layered DP over the unit group (Z/m)^x with witness reconstruction
 beyond that, and a full 2**n scan as the exhaustive oracle for small pools.
 Meet-in-the-middle sorts one half's subsets as (product, size, mask) keys and
 binary-searches them for each mask of the other half, in mask order, for any
-modulus. Every pool element is a unit and the DP starts from 1, so the DP
-table covers the phi(m) units only, with one axis of phi(q) positions per
-prime power q of m, as the CRT splits the unit group. A found subset is
-certified by independent re-checks before a certificate is emitted.
+modulus. Both it and the scan form their int64 products mod a search modulus
+s: m itself below 2**31; above, the block of m's prime-power factors that
+trial division finds, in ascending order, while their product stays below
+2**31, used while 2**n <= s * 2**12 for n pool elements, else m with Python
+ints. A match mod s is re-checked exactly mod m before it counts, and past
+_RECHECK_BUDGET re-checks a search goes mod m instead. Every pool
+element is a unit and the DP starts from 1, so the DP table covers the phi(m)
+units only, with one axis of phi(q) positions per prime power q of m, as the
+CRT splits the unit group. A found subset is certified by independent
+re-checks before a certificate is emitted.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +30,7 @@ from . import _kernels
 from .arith import (
     Factorization,
     PROBABLE_PRIME_THRESHOLD,
+    TRIAL_BOUND,
     carmichael_lambda,
     crt,
     euler_phi,
@@ -45,6 +53,8 @@ ENUMERATE_LIMIT = 24
 DP_CELL_BOUND = 200_000_000
 EXACT_GROUP_CAP = 36  # largest unit group exact_identity_threshold searches
 _MASK_BLOCK = 1 << 14  # masks one numpy step looks up (MITM) or forms (exhaustive scan)
+_SPURIOUS_BITS = 12  # a search mod a block s of m allows 2**n <= s * 2**12
+_RECHECK_BUDGET = 1 << 16  # matches mod s re-checked before a search goes mod m instead
 
 
 @dataclass(frozen=True)
@@ -236,22 +246,61 @@ def _validate_pool(pool, modulus: int, min_size: int) -> list[int]:
     return pool
 
 
-def _find_mitm(pool, modulus, target, min_size, max_size):
+def _search_modulus(m: int, n: int) -> int:
+    """The modulus s a search over n pool elements forms its products mod.
+
+    Below 2**31, s = m. Above, s is the product of the prime-power factors of
+    m that trial division finds in ascending order, each joining while s
+    stays below 2**31; the walk stops at the first prime p with s*p >= 2**31,
+    or past TRIAL_BOUND. s is kept only while 2**n <= s * 2**_SPURIOUS_BITS,
+    so that about 2**_SPURIOUS_BITS matches mod s at most fail mod m;
+    otherwise s = m and the products are Python ints.
+    """
+    limit = _kernels.INT64_MOD_LIMIT
+    if m < limit:
+        return m
+    s, rest, d = 1, m, 2
+    while rest > 1 and d <= TRIAL_BOUND and s * d < limit:
+        if rest % d == 0:  # d is prime: the primes below it are divided out of rest
+            q = 1
+            while rest % d == 0:
+                q, rest = q * d, rest // d
+            if s * q < limit:
+                s *= q
+        d += 1 if d == 2 else 2
+    return s if 1 << n <= s << _SPURIOUS_BITS else m
+
+
+def _product(elems, mask: int, m: int) -> int:
+    """The product mod m of the elements whose bits are set in mask."""
+    return math.prod(e for i, e in enumerate(elems) if mask >> i & 1) % m
+
+
+def _find_mitm(pool, modulus, s, target, min_size, max_size):
     """First left mask (in mask order) with a right partner, and for it the
-    right mask of least size, then least mask, that completes the target."""
+    right mask of least size, then least mask, that completes the target.
+
+    Products, keys and lookups are taken mod s, a divisor of the modulus;
+    each match mod s is re-checked mod the modulus, in that same order, and
+    the first exact one is returned. Past _RECHECK_BUDGET failed re-checks
+    (products that crowd a few residues mod s) the search restarts mod the
+    modulus, which gives the same answer.
+    """
     n = len(pool)
     nb = n // 2
     left, right = pool[: n - nb], pool[n - nb :]
     cap = max_size if max_size is not None else n
+    failed = 0
     # right half: one key per mask ordering (product, size, mask); the keys are
     # distinct and, for int64 products (< 2**31, nb <= 20), below 2**56
     w = nb + 1
-    rp, rs = _kernels.all_subset_products([e % modulus for e in right], modulus)
+    rp, rs = _kernels.all_subset_products([e % s for e in right], s)
     table = np.sort((rp * w + rs) << nb | np.arange(1 << nb))
     # left half: the product each left mask needs from the right
-    inv, sizes = _kernels.all_subset_products([pow(e, -1, modulus) for e in left], modulus)
+    inverses = [pow(e, -1, modulus) for e in left]
+    inv, sizes = _kernels.all_subset_products([e % s for e in inverses], s)
     for start in range(0, inv.shape[0], _MASK_BLOCK):
-        base = inv[start : start + _MASK_BLOCK] * target % modulus * w
+        base = inv[start : start + _MASK_BLOCK] * (target % s) % s * w
         sl = sizes[start : start + _MASK_BLOCK].astype(np.int64)
         # right sizes allowed; hi <= nb keeps each lookup inside its product's keys
         lo = np.maximum(min_size - sl, 0)
@@ -259,12 +308,20 @@ def _find_mitm(pool, modulus, target, min_size, max_size):
         pos = np.searchsorted(table, (base + lo) << nb)
         entry = table[np.minimum(pos, table.shape[0] - 1)]
         hits = np.flatnonzero((lo <= hi) & (pos < table.shape[0]) & ((entry >> nb) <= base + hi))
-        if hits.size:
-            lmask = start + int(hits[0])
-            rmask = int(entry[hits[0]]) & ((1 << nb) - 1)
-            idx = [i for i in range(len(left)) if lmask >> i & 1]
-            idx += [len(left) + i for i in range(len(right)) if rmask >> i & 1]
-            return tuple(idx)
+        for i in hits:  # one at a time: the first exact match ends the search
+            lmask = start + int(i)
+            need = _product(inverses, lmask, modulus) * target % modulus
+            # its keys run from pos to the first key past its largest allowed size
+            end = bisect_left(table, (base[i] + int(hi[i]) + 1) << nb, lo=int(pos[i]))
+            for key in table[pos[i] : end].tolist():
+                rmask = key & ((1 << nb) - 1)
+                if _product(right, rmask, modulus) == need:
+                    idx = [j for j in range(len(left)) if lmask >> j & 1]
+                    idx += [len(left) + j for j in range(len(right)) if rmask >> j & 1]
+                    return tuple(idx)
+                failed += 1
+                if failed > _RECHECK_BUDGET:
+                    return _find_mitm(pool, modulus, modulus, target, min_size, max_size)
     return None
 
 
@@ -319,8 +376,12 @@ def subset_product_find(pool, modulus: int, target: int, min_size: int, max_size
     Meet-in-the-middle splits the pool into a left and a right half, keeps
     the right half as a sorted array of (product, size, mask) keys and scans
     the left masks in mask order; it returns the first left mask that has a
-    partner, with its least-size, then least-mask right partner. Products are
-    int64 below 2**31 and Python ints above, so any modulus works.
+    partner, with its least-size, then least-mask right partner. Keys are
+    taken mod the search modulus s (see _search_modulus): the modulus below
+    2**31, above it a block of its small prime-power factors below 2**31
+    while the pool has at most log2(s) + 12 elements, else the modulus with
+    Python ints. Each match mod s is re-checked mod the modulus in that same
+    order, so the witness does not depend on s, and any modulus works.
     """
     pool = _validate_pool(pool, modulus, min_size)
     if max_size is not None and max_size < min_size:
@@ -331,7 +392,8 @@ def subset_product_find(pool, modulus: int, target: int, min_size: int, max_size
     if max_size is not None and max_size >= len(pool):
         max_size = None  # no larger subset exists; search as with no bound
     if len(pool) <= MITM_LIMIT:
-        return _find_mitm(pool, modulus, target, min_size, max_size)
+        s = _search_modulus(modulus, len(pool))
+        return _find_mitm(pool, modulus, s, target, min_size, max_size)
     return _find_dp(pool, modulus, target, min_size, max_size)
 
 
@@ -341,7 +403,10 @@ def subset_product_enumerate(
     """Every qualifying index subset, by full 2**n scan (n <= 24), ascending by mask.
 
     The low half's products are built once and multiplied by a block of high
-    masks' products at a time, so memory stays O(_MASK_BLOCK).
+    masks' products at a time, so memory stays O(_MASK_BLOCK). Products are
+    taken mod the search modulus s, as in subset_product_find, and a mask
+    that hits the target mod s is kept only if it hits it mod the modulus;
+    more than _RECHECK_BUDGET matches mod s send the scan mod the modulus.
     """
     pool = _validate_pool(pool, modulus, min_size)
     n = len(pool)
@@ -349,18 +414,30 @@ def subset_product_enumerate(
         raise CapacityError(f"pool size {n} exceeds exhaustive-scan cap {ENUMERATE_LIMIT}")
     target %= modulus
     cap = max_size if max_size is not None else n
-    nl = (n + 1) // 2
-    lp, ls = _kernels.all_subset_products([p % modulus for p in pool[:nl]], modulus)
-    hp, hs = _kernels.all_subset_products([p % modulus for p in pool[nl:]], modulus)
+    s = _search_modulus(modulus, n)
+    masks = _scan_masks(pool, s, target % s, min_size, cap)
+    if len(masks) > _RECHECK_BUDGET and s != modulus:  # products crowd a few residues mod s
+        s, masks = modulus, _scan_masks(pool, modulus, target, min_size, cap)
+    # a match mod s counts only if it holds mod the modulus too
+    return [tuple(i for i in range(n) if mask >> i & 1)
+            for mask in masks if s == modulus or _product(pool, mask, modulus) == target]
+
+
+def _scan_masks(pool, s: int, target: int, min_size: int, cap: int) -> list[int]:
+    """The masks, ascending, whose subsets hit the target mod s with a size in
+    [min_size, cap]."""
+    nl = (len(pool) + 1) // 2
+    lp, ls = _kernels.all_subset_products([p % s for p in pool[:nl]], s)
+    hp, hs = _kernels.all_subset_products([p % s for p in pool[nl:]], s)
     rows = max(_MASK_BLOCK >> nl, 1)  # high masks per block
     masks: list[int] = []
     for h in range(0, hp.shape[0], rows):
         # row r, column l is mask (h + r) << nl | l
-        prods = hp[h : h + rows, None] * lp % modulus
+        prods = hp[h : h + rows, None] * lp % s
         sizes = hs[h : h + rows, None] + ls
         hit = (prods == target) & (sizes >= min_size) & (sizes <= cap)
         masks += (np.flatnonzero(hit) + (h << nl)).tolist()
-    return [tuple(i for i in range(n) if mask >> i & 1) for mask in masks]
+    return masks
 
 
 @dataclass(frozen=True)

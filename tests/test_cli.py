@@ -391,6 +391,29 @@ def test_cli_construct_agp_k0_scan_cap(capsys):
         assert (code, out) == (3, "") and cap in err
 
 
+def test_cli_construct_agp_miss_searches_int64_blocks(capsys, monkeypatch):
+    # agp moduli M*L are far above 2**31, yet the search and the exhaustive scan
+    # of a 24-prime miss form their products mod a block of M*L below 2**31
+    from carmkit import _kernels
+
+    moduli, products = [], _kernels.all_subset_products
+
+    def spy(res, m):
+        moduli.append(m)
+        return products(res, m)
+
+    monkeypatch.setattr(_kernels, "all_subset_products", spy)
+    code, out, err = run_cli(capsys, "construct", "--mode", "agp", "--modulus", "1",
+                             "--residue", "0", "--y", "40", "--theta", "1.3", "--B", "2/5",
+                             "--x-cap", "1000000000000", "--k-cap", "100", "--pool-cap", "24",
+                             "--no-qr-filter", "--no-residue-filter")
+    assert code == 1
+    assert err == ("no qualifying subset in pool of 24 primes; "
+                   "exhaustive scan of 16777216 subsets confirms none exists\n")
+    assert len(moduli) == 4  # two halves each for the search and the scan
+    assert all(m < _kernels.INT64_MOD_LIMIT for m in moduli), moduli
+
+
 def test_cli_output_file(tmp_path, capsys):
     out_path = tmp_path / "out.jsonl"
     code, out, _ = run_cli(capsys, "--output", str(out_path), "verify", "561")

@@ -142,15 +142,53 @@ def test_find_k0_stops_below_x(monkeypatch):
     grid, formed = pipeline._candidates, []
 
     def counted(divs, ks, limit):
-        d_at, k_at = grid(divs, ks, limit)
-        formed.extend(divs[i] * k + 1 for i, k in zip(d_at.tolist(), ks[k_at].tolist()))
-        return d_at, k_at
+        for d_at, k_at in grid(divs, ks, limit):
+            formed.extend(divs[i] * k + 1 for i, k in zip(d_at.tolist(), ks[k_at].tolist()))
+            yield d_at, k_at
 
     monkeypatch.setattr(pipeline, "_candidates", counted)
     assert pipeline.find_k0(arith.factorize(77), 40, 1, 0, PoolFilters(), 10_000) == (2, 2)
     # every coprime k < 40 once with each d | 77 that keeps d*k + 1 <= 40, and nothing more
     assert sorted(formed) == sorted(d * k + 1 for k in range(1, 40) if math.gcd(k, 77) == 1
                                     for d in (1, 7, 11, 77) if d * k + 1 <= 40)
+
+
+def test_pool_rule_in_blocks_matches_one_block(monkeypatch):
+    grid, blocks = pipeline._candidates, []
+
+    def counted(divs, ks, limit):
+        for d_at, k_at in grid(divs, ks, limit):
+            blocks.append(d_at.size)
+            yield d_at, k_at
+
+    monkeypatch.setattr(pipeline, "_candidates", counted)
+    # 32 divisors and 40 k: blocks of 7 split the ks into runs and each k's divisors
+    Lf = arith.factorize(7 * 11 * 19 * 23 * 31)
+    cases = [(1, 0, PoolFilters()), (3, 2, PoolFilters(True, True)), (4, 3, PoolFilters(False, True))]
+
+    def scan():
+        got = []
+        for M, a, filters in cases:
+            k0 = pipeline.find_k0(Lf, 10**6, M, a, filters, 40)
+            params = ConstructionParams(M=M, a=a, mode="agp", y=5, theta=1.5, B=Fraction(2, 5),
+                                        filters=filters)
+            got.append((k0, pipeline.build_pool(Lf, 10**6, k0[0], params)))
+        return got
+
+    whole, sizes = scan(), blocks[:]
+    assert len(sizes) == 6  # one block for each find_k0 and each build_pool
+    blocks.clear()
+    monkeypatch.setattr(pipeline, "_GRID_BLOCK", 7)
+    assert scan() == whole
+    assert sum(blocks) == sum(sizes) and max(blocks) == 7 and len(blocks) > sum(sizes) // 7
+    # the largest agp benchmark scan, the k0-y40 stratum's, takes one block
+    monkeypatch.setattr(pipeline, "_GRID_BLOCK", 2**16)
+    blocks.clear()
+    params = ConstructionParams(M=1, a=0, mode="agp", y=40, theta=1.5, B=Fraction(2, 5),
+                                caps=Caps(x_cap=10**10, k_cap=60, pool_cap=28),
+                                filters=PoolFilters())
+    assert pipeline.run_agp_construction(params).k0 == 6
+    assert blocks[0] == 50402
 
 
 def test_pool_rule_beyond_2_64():

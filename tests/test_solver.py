@@ -16,6 +16,13 @@ from carmkit.errors import (
 )
 from carmkit.solver import AssemblySpec, GroupSpec
 
+# above 2**31 the searches run mod a block s of the modulus and re-check each
+# match exactly: s = 4096 for 2**12 * P (pools of up to 24, thousands of spurious
+# matches; beyond that Python ints mod m), s = 3 * 59 * 61 * 67 * 71 for the agp
+# shape 3 * (primes 59..163), s = 1 for the prime P (Python ints past 12 elements)
+P = 10**21 + 117
+AGP_SHAPE = 3 * math.prod(p for p in range(59, 164) if arith.is_prime(p))
+
 
 def units_of(m):
     return [u for u in range(1, m) if math.gcd(u, m) == 1]
@@ -192,7 +199,8 @@ def test_subset_enumerate_blocks_keep_mask_order():
 
 
 def test_subset_enumerate_memory_above_int64_moduli():
-    # moduli >= 2**31 hold products as Python ints: all 2**18 at once take ~16 MiB
+    # a prime modulus >= 2**31 has no block to search mod, so 18 elements hold
+    # products as Python ints: all 2**18 at once take ~16 MiB
     # (18, not 20 elements: tracemalloc slows each Python-int product ~40x)
     pool = [p for p in range(3, 80, 2) if arith.is_prime(p)][:18]
     m = (1 << 32) + 15
@@ -205,6 +213,56 @@ def test_subset_enumerate_memory_above_int64_moduli():
         tracemalloc.stop()
     assert hits == [(1, 4, 9, 15, 17)]
     assert peak < 8 << 20, peak
+
+
+@pytest.mark.parametrize("m", [2**12 * P, AGP_SHAPE], ids=["2**12*(1e21+117)", "agp-shape"])
+def test_subset_enumerate_block_matches_full_table(m):
+    # matches mod the block s that fail mod m are dropped, and the rest keep
+    # mask order: the exact table of all 2**n products is the oracle
+    rng = random.Random(61)
+    for n in (12, 17, 20):
+        pool = []
+        while len(pool) < n:
+            e = rng.randrange(1, m)
+            if math.gcd(e, m) == 1:
+                pool.append(e)
+        pool[5] = pool[2]  # two subsets of each size through pool[2] or pool[5] agree
+        prods, sizes = _kernels.all_subset_products(pool, m)
+        for target in (pool[2] * pool[7] * pool[9] % m, pool[0] * rng.choice(pool) % m):
+            for min_size, max_size in ((1, None), (3, 3)):
+                hit = (prods == target) & (sizes >= min_size) & (sizes <= (max_size or n))
+                want = [tuple(i for i in range(len(pool)) if mask >> i & 1)
+                        for mask in np.flatnonzero(hit).tolist()]
+                got = solver.subset_product_enumerate(pool, m, target, min_size, max_size)
+                assert got == want, (n, target, min_size)
+        assert len(solver.subset_product_enumerate(pool, m, pool[2] * pool[7] % m, 2, 2)) == 2
+
+
+def test_block_search_crowded_residues_go_mod_m(monkeypatch):
+    # every element is 1 mod the block s = 4096, so every pair of halves matches
+    # mod s: past the re-check budget both searches run mod m, with the same answers
+    m = 2**12 * P
+    rng = random.Random(67)
+    pool = [1 + 4096 * rng.randrange(1, P) for _ in range(20)]
+    moduli, products = [], _kernels.all_subset_products
+
+    def spy(res, mod):
+        moduli.append(mod)
+        return products(res, mod)
+
+    monkeypatch.setattr(_kernels, "all_subset_products", spy)
+    for target in (pool[3] * pool[8] * pool[15] % m, 1 + 4096 * rng.randrange(1, P)):
+        moduli.clear()
+        got = solver.subset_product_find(pool, m, target, 2)
+        assert moduli == [4096, 4096, m, m]
+        assert got == find_mitm_dict(pool, m, target, 2)
+        moduli.clear()
+        got = solver.subset_product_enumerate(pool, m, target, 2)
+        assert moduli == [4096, 4096, m, m]
+        prods, sizes = products(pool, m)
+        want = np.flatnonzero((prods == target) & (sizes >= 2)).tolist()
+        assert got == [tuple(i for i in range(20) if mask >> i & 1) for mask in want]
+    assert got == []  # the second target is out of reach
 
 
 def test_subset_find_agrees_with_enumerate():
@@ -374,12 +432,26 @@ def mitm_case(rng, m, n, kind):
     return pool, m, target % m, min_size, max_size
 
 
+def test_search_modulus_rule():
+    search = solver._search_modulus
+    assert search(2**31 - 1, 40) == 2**31 - 1  # below 2**31 the modulus itself
+    # prime powers in ascending order while the block stays below 2**31
+    assert [search(2**12 * P, n) for n in (1, 24, 25)] == [4096, 4096, 2**12 * P]
+    assert search(AGP_SHAPE, 37) == 3 * 59 * 61 * 67 * 71 and search(AGP_SHAPE, 38) == AGP_SHAPE
+    assert search(2**30 * 3 * P, 1) == 2**30  # 3 * 2**30 would pass 2**31
+    assert search(2**29 * 3 * P, 1) == 2**29 * 3
+    assert search(5**14 * 2 * P, 1) == 2  # 5**14 alone passes 2**31
+    assert [search(P, n) for n in (12, 13)] == [1, P]  # no factor below TRIAL_BOUND
+
+
 @pytest.mark.parametrize("moduli", [
     (1,),
     (12, 91, 120, 225, 391, 2520),  # small composites
     (2**31 - 1, 2**31 - 9, 2**31 - 10**4),  # the largest int64 moduli
-    (10**21 + 117,),  # object dtype
-], ids=["one", "small", "below-2**31", "1e21+117"])
+    (P,),
+    (2**12 * P,),
+    (AGP_SHAPE,),
+], ids=["one", "small", "below-2**31", "1e21+117", "2**12*(1e21+117)", "agp-shape"])
 def test_subset_find_mitm_matches_dict_oracle(moduli):
     # not just a valid witness: the very index tuple the dict search returns
     rng = random.Random(moduli[0])
