@@ -7,12 +7,9 @@ arithmetic progressions, each one strided slice: the lpf window marks the
 multiples of each prime and divides by each prime power on its multiples,
 and the Carmichael scan keeps, among the odd multiples v = p*t of each prime,
 only those with t = 1 (mod p-1).
-``all_subset_products`` falls back to object arrays (Python ints) for larger
-moduli; the solver passes it its search modulus, which is below 2**31 except
-for a pool too large for the block of small prime-power factors of the
-modulus, or products crowding a few residues of that block (see
-``solver._search_modulus``). Other arbitrary-precision paths live outside
-this module.
+``all_subset_products`` is int64 below ``INT64_MOD_LIMIT`` and Python ints
+(object arrays) above. Other arbitrary-precision paths live outside this
+module.
 ``scan_segments`` runs a sieve over a long range one segment at a time, so
 memory stays O(segment).
 """
@@ -135,9 +132,6 @@ def all_subset_products(res, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     Entry ``mask`` covers the items whose bits are set in it. Products are
     int64 for m < INT64_MOD_LIMIT and Python ints (object dtype) otherwise.
-    The solver calls it mod its search modulus s: the modulus itself below
-    2**31, else the block of the modulus's small prime-power factors below
-    2**31 while 2**n <= s * 2**12, and it re-checks every match mod s exactly.
     """
     dtype = np.int64 if m < INT64_MOD_LIMIT else object
     res = np.array(res, dtype=dtype)

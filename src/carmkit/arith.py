@@ -70,11 +70,6 @@ class Factorization:
         return tuple(p for p, _ in self.pairs)
 
     @property
-    def omega(self) -> int:
-        """Number of distinct prime divisors."""
-        return len(self.pairs)
-
-    @property
     def big_omega(self) -> int:
         """Number of prime divisors counted with multiplicity."""
         return sum(e for _, e in self.pairs)
@@ -85,9 +80,6 @@ class Factorization:
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 def _is_square(n: int) -> bool:
@@ -252,14 +244,14 @@ def factorize(n: int) -> Factorization:
         got = None
         for seed in range(8):
             if remaining <= 0:
-                raise UnfactoredError(m)
+                raise UnfactoredError(m, RHO_BUDGET)
             f, used = _pollard_brent(m, seed, remaining)
             remaining -= used
             if f != m:
                 got = f
                 break
         if got is None:
-            raise UnfactoredError(m)
+            raise UnfactoredError(m, RHO_BUDGET)
         stack.extend((got, m // got))
     return Factorization.of(sorted(found.items()))
 
@@ -330,17 +322,6 @@ def carmichael_lambda(f: Factorization) -> int:
             local = p ** (e - 1) * (p - 1)
         out = math.lcm(out, local)
     return out
-
-
-def multiplicative_order(a: int, m: int, lambda_fact: Factorization) -> int:
-    """Least e >= 1 with a**e == 1 mod m; ``lambda_fact`` factors lambda(m)."""
-    if math.gcd(a, m) != 1:
-        raise DomainError(f"gcd({a}, {m}) != 1; order undefined")
-    e = lambda_fact.value()
-    for p, _ in lambda_fact:
-        while e % p == 0 and pow(a, e // p, m) == 1:
-            e //= p
-    return e
 
 
 def divisors(f: Factorization) -> list[int]:

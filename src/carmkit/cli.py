@@ -291,12 +291,12 @@ def _run_construct(cfg: argparse.Namespace) -> tuple[int, list[str]]:
     if len(pool) < 3:
         print(f"pool of {len(pool)} primes is too small", file=sys.stderr)
         return 1, []
-    target = derive_target(L, M, a)
-    subset = subset_product_find(pool, target.modulus, target.h, 3, cfg.max_factors)
+    h, modulus = derive_target(L, M, a)
+    subset = subset_product_find(pool, modulus, h, 3, cfg.max_factors)
     if subset is None:
         note = ""
         if len(pool) <= ENUMERATE_LIMIT:
-            if subset_product_enumerate(pool, target.modulus, target.h, 3, cfg.max_factors):
+            if subset_product_enumerate(pool, modulus, h, 3, cfg.max_factors):
                 # search and exhaustive oracle must agree
                 raise AssertionError("subset search missed a subset the exhaustive scan finds")
             note = f"; exhaustive scan of {2 ** len(pool)} subsets confirms none exists"

@@ -14,11 +14,12 @@ class CapacityError(CarmkitError):
 
 
 class UnfactoredError(CarmkitError):
-    """Factoring budget ran out; carries the unfactored cofactor."""
+    """Factoring budget ran out; carries the unfactored cofactor and names the budget."""
 
-    def __init__(self, cofactor: int, message: str | None = None):
+    def __init__(self, cofactor: int, budget: int):
         self.cofactor = cofactor
-        super().__init__(message or f"work budget exhausted; unfactored cofactor {cofactor}")
+        super().__init__(
+            f"Brent-rho budget of {budget} iterations exhausted; unfactored cofactor {cofactor}")
 
 
 class CrtConflictError(DomainError):

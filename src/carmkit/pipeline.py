@@ -24,7 +24,7 @@ import numpy as np
 
 from .arith import _TRIAL_PRIMES, Factorization, factorize, is_prime, jacobi, nth_root_floor
 from .errors import CapacityError, ConstructionError, DomainError
-from .sieve import SmoothPrimeQuery, build_Q
+from .sieve import build_Q
 
 X_MAX_BITS = 1_000_000
 DIVISOR_CAP = 2**17  # divisors one divisor walk may list
@@ -304,7 +304,7 @@ def run_agp_construction(params: ConstructionParams) -> ConstructionState:
     """The full agp-mode pipeline at desk scale: Q, L, x, k0, pool."""
     if params.mode != "agp":
         raise DomainError("run_agp_construction requires agp-mode params")
-    Q = build_Q(SmoothPrimeQuery(params.y, params.theta, params.M))
+    Q = build_Q(params.y, params.theta, params.M)
     L, L_fact = build_L(Q)
     log2x = faithful_x_log2(params.M, L, params.B)
     x_faithful: int | None

@@ -5,16 +5,20 @@ elements, a layered DP over the unit group (Z/m)^x with witness reconstruction
 beyond that, and a full 2**n scan as the exhaustive oracle for small pools.
 Meet-in-the-middle sorts one half's subsets as (product, size, mask) keys and
 binary-searches them for each mask of the other half, in mask order, for any
-modulus. Both it and the scan form their int64 products mod a search modulus
-s: m itself below 2**31; above, the block of m's prime-power factors that
-trial division finds, in ascending order, while their product stays below
-2**31, used while 2**n <= s * 2**12 for n pool elements, else m with Python
-ints. A match mod s is re-checked exactly mod m before it counts, and past
-_RECHECK_BUDGET re-checks a search goes mod m instead. Every pool
-element is a unit and the DP starts from 1, so the DP table covers the phi(m)
-units only, with one axis of phi(q) positions per prime power q of m, as the
-CRT splits the unit group. A found subset is certified by independent
-re-checks before a certificate is emitted.
+modulus.
+
+The search modulus. Meet-in-the-middle and the scan form their products mod
+a search modulus s (see _search_modulus): s = m below 2**31; above, the block
+of m's small prime-power factors below 2**31, used while 2**n <= s * 2**12
+for n pool elements, else m with Python ints. A match mod s is re-checked
+exactly mod m before it counts, in the search's own order, so the witness
+does not depend on s; past _RECHECK_BUDGET (2**16) failed re-checks a search
+goes mod m instead.
+
+Every pool element is a unit and the DP starts from 1, so the DP table
+covers the phi(m) units only, with one axis of phi(q) positions per prime
+power q of m, as the CRT splits the unit group. A found subset is certified
+by independent re-checks before a certificate is emitted.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .arith import (
     euler_phi,
     factorize,
     is_prime,
-    multiplicative_order,
 )
 from .errors import (
     AssemblyError,
@@ -58,35 +61,6 @@ _RECHECK_BUDGET = 1 << 16  # matches mod s re-checked before a search goes mod m
 
 
 @dataclass(frozen=True)
-class GroupSpec:
-    """The unit group modulo ``modulus`` with its order and exponent.
-
-    ``phi_M`` carries phi of the residue modulus M separately because the
-    t-formula needs it while the group itself lives mod M*L (or lcm(Lambda, M)).
-    """
-
-    modulus: int
-    modulus_fact: Factorization
-    order: int
-    exponent: int
-    phi_M: int = 1
-
-    def __post_init__(self):
-        if self.order % self.exponent != 0:
-            raise DomainError("group exponent must divide group order")
-
-    @classmethod
-    def from_modulus_fact(cls, fact: Factorization, phi_M: int = 1) -> "GroupSpec":
-        return cls(
-            modulus=fact.value(),
-            modulus_fact=fact,
-            order=euler_phi(fact),
-            exponent=carmichael_lambda(fact),
-            phi_M=phi_M,
-        )
-
-
-@dataclass(frozen=True)
 class GroupInvariants:
     lambda_G: int
     omega_lambda: int
@@ -96,14 +70,6 @@ class GroupInvariants:
     t: float
     omega_L: int
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class ResidueTarget:
-    """The element h with h = 1 mod L and h = a mod M, inside (Z/modulus)^x."""
-
-    h: int
-    modulus: int
 
 
 @dataclass(frozen=True)
@@ -129,8 +95,12 @@ class CarmichaelCertificate:
     checks: dict[str, bool]
 
 
-def compute_invariants(spec: GroupSpec, omega_L: int, x: int) -> GroupInvariants:
-    """Evaluate the zero-sum threshold s(G), the identity-threshold bound and t.
+def compute_invariants(
+    fact: Factorization, omega_L: int, x: int, phi_M: int = 1
+) -> GroupInvariants:
+    """Evaluate the zero-sum threshold s(G), the identity-threshold bound and t
+    for the unit group G modulo fact's value. phi_M is phi of the residue
+    modulus M, which t needs while G lives mod M*L (or lcm(Lambda, M)).
 
     n_bound = lambda * (1 + log|G|/lambda)
     s(G)    = ceil(5 * lambda^2 * Omega(lambda) * log(3 * lambda * Omega(|G|)))
@@ -140,12 +110,12 @@ def compute_invariants(spec: GroupSpec, omega_L: int, x: int) -> GroupInvariants
     """
     if x < 3:
         raise DomainError(f"x must be >= 3, got {x}")
-    lam = spec.exponent
+    lam, order = carmichael_lambda(fact), euler_phi(fact)
     omega_lambda = factorize(lam).big_omega if lam > 1 else 0
-    omega_order = factorize(spec.order).big_omega if spec.order > 1 else 0
+    omega_order = factorize(order).big_omega if order > 1 else 0
     # lam * (1 + log|G|/lam) = lam + log|G|; may exceed float range for huge groups
     try:
-        n_bound = float(lam) + (math.log(spec.order) if spec.order > 1 else 0.0)
+        n_bound = float(lam) + (math.log(order) if order > 1 else 0.0)
     except OverflowError:
         n_bound = math.inf
     if lam >= 2:
@@ -155,7 +125,7 @@ def compute_invariants(spec: GroupSpec, omega_L: int, x: int) -> GroupInvariants
         s_G = int(-(-A * c.numerator // c.denominator))
     else:
         s_G = 0
-    t = (6 / 5) ** omega_L / (60 * spec.phi_M * math.log(x))
+    t = (6 / 5) ** omega_L / (60 * phi_M * math.log(x))
     return GroupInvariants(
         lambda_G=lam,
         omega_lambda=omega_lambda,
@@ -204,34 +174,17 @@ def exact_identity_threshold(modulus: int) -> int:
     return extend(frozenset(), 0) + 1
 
 
-def derive_target(L: int, M: int, a: int) -> ResidueTarget:
-    """CRT-combine h = 1 mod L with h = a mod M."""
+def derive_target(L: int, M: int, a: int) -> tuple[int, int]:
+    """(h, modulus): the h with h = 1 mod L and h = a mod M, a unit mod
+    modulus = lcm(L, M), as arith.crt returns it."""
     if math.gcd(a, M) != 1:
         raise DomainError(f"residue {a} is not coprime to {M}")
     try:
-        h, modulus = crt([(1, L), (a, M)])
+        return crt([(1, L), (a, M)])
     except CrtConflictError as e:
         raise InfeasibleError(
             f"no element is 1 mod {L} and {a} mod {M}: gcd({L}, {M}) does not divide {a - 1}"
         ) from e
-    return ResidueTarget(h=h, modulus=modulus)
-
-
-def derive_target_exponent(p: int, L_fact: Factorization, M: int) -> int:
-    """Least r >= 1 with r = 0 mod ord_L(p) and r = 1 mod phi(M)."""
-    L = L_fact.value()
-    if math.gcd(p, L) != 1:
-        raise DomainError(f"gcd({p}, {L}) != 1")
-    lam = carmichael_lambda(L_fact)
-    order = multiplicative_order(p, L, factorize(lam))
-    phi_M = euler_phi(factorize(M))
-    g = math.gcd(order, phi_M)
-    if g != 1:
-        raise InfeasibleError(
-            f"ord_L(p) = {order} shares factor {g} with phi(M) = {phi_M}; no exponent exists"
-        )
-    r, mod = crt([(0, order), (1, phi_M)])
-    return r if r > 0 else r + mod
 
 
 def _validate_pool(pool, modulus: int, min_size: int) -> list[int]:
@@ -278,13 +231,8 @@ def _product(elems, mask: int, m: int) -> int:
 
 def _find_mitm(pool, modulus, s, target, min_size, max_size):
     """First left mask (in mask order) with a right partner, and for it the
-    right mask of least size, then least mask, that completes the target.
-
-    Products, keys and lookups are taken mod s, a divisor of the modulus;
-    each match mod s is re-checked mod the modulus, in that same order, and
-    the first exact one is returned. Past _RECHECK_BUDGET failed re-checks
-    (products that crowd a few residues mod s) the search restarts mod the
-    modulus, which gives the same answer.
+    right mask of least size, then least mask, that completes the target,
+    searched mod s under the search-modulus rule (see the module docstring).
     """
     n = len(pool)
     nb = n // 2
@@ -377,11 +325,7 @@ def subset_product_find(pool, modulus: int, target: int, min_size: int, max_size
     the right half as a sorted array of (product, size, mask) keys and scans
     the left masks in mask order; it returns the first left mask that has a
     partner, with its least-size, then least-mask right partner. Keys are
-    taken mod the search modulus s (see _search_modulus): the modulus below
-    2**31, above it a block of its small prime-power factors below 2**31
-    while the pool has at most log2(s) + 12 elements, else the modulus with
-    Python ints. Each match mod s is re-checked mod the modulus in that same
-    order, so the witness does not depend on s, and any modulus works.
+    taken mod the search modulus, as the module docstring sets out.
     """
     pool = _validate_pool(pool, modulus, min_size)
     if max_size is not None and max_size < min_size:
@@ -404,9 +348,7 @@ def subset_product_enumerate(
 
     The low half's products are built once and multiplied by a block of high
     masks' products at a time, so memory stays O(_MASK_BLOCK). Products are
-    taken mod the search modulus s, as in subset_product_find, and a mask
-    that hits the target mod s is kept only if it hits it mod the modulus;
-    more than _RECHECK_BUDGET matches mod s send the scan mod the modulus.
+    taken mod the search modulus, as the module docstring sets out.
     """
     pool = _validate_pool(pool, modulus, min_size)
     n = len(pool)

@@ -14,7 +14,6 @@ import pytest
 from carmkit import arith, cli, korselt, pipeline, sieve, solver
 from carmkit.errors import ConstructionError, InfeasibleError
 from carmkit.pipeline import PoolFilters
-from carmkit.sieve import SmoothPrimeQuery
 
 mp = pytest.importorskip("mpmath")
 
@@ -91,10 +90,10 @@ def test_criterion_3_erdos_construction(capsys):
 def _erdos_certificate_exists(lam: int, M: int, a: int) -> bool:
     try:
         pool = pipeline.erdos_pool(lam, M)
-        target = solver.derive_target(lam, M, a)
+        h, modulus = solver.derive_target(lam, M, a)
     except (ConstructionError, InfeasibleError):
         return False
-    hits = solver.subset_product_enumerate(pool, target.modulus, target.h, 3)
+    hits = solver.subset_product_enumerate(pool, modulus, h, 3)
     return bool(hits)
 
 
@@ -159,8 +158,7 @@ def test_criterion_5_solver_equivalence():
 def test_criterion_6_formula_fidelity():
     mp.mp.dps = 50
     # s_G for lambda=2, Omega(lambda)=1, Omega(|G|)=3, realized by (Z/24)^x
-    spec24 = solver.GroupSpec.from_modulus_fact(arith.factorize(24), phi_M=2)
-    inv = solver.compute_invariants(spec24, omega_L=2, x=84**5)
+    inv = solver.compute_invariants(arith.factorize(24), omega_L=2, x=84**5, phi_M=2)
     s_ok = inv.s_G == int(mp.ceil(5 * 4 * 1 * mp.log(3 * 2 * 3))) == 58
     x_val = pipeline.compute_x(4, 21, "2/5")
     x_ok = x_val == 4182119424
@@ -177,7 +175,7 @@ def test_criterion_6_formula_fidelity():
 
 
 def test_criterion_7_agp_toy_pipeline():
-    Q = sieve.build_Q(SmoothPrimeQuery(5, 1.5, 1))
+    Q = sieve.build_Q(5, 1.5, 1)
     q_ok = Q == [7, 11]
     k0, count = pipeline.find_k0(arith.factorize(15), 40, 1, 1, PoolFilters(), 10)
     pool = [
@@ -198,7 +196,7 @@ def test_criterion_8_size_bound_suite():
     details = []
     for y in (50, 100, 200):
         for theta in (1.2, 1.5, 1.8):
-            Q = sieve.build_Q(SmoothPrimeQuery(y, theta, 1))
+            Q = sieve.build_Q(y, theta, 1)
             L, L_fact = pipeline.build_L(Q)
             lam = arith.carmichael_lambda(L_fact)
             lam_cap = int(mp.ceil(mp.exp(2 * theta * y)))

@@ -190,7 +190,7 @@ def test_factorization_type_invariants():
     with pytest.raises(DomainError):
         Factorization.of([(5, 0)])
     f = Factorization.of([(2, 2), (7, 1)])
-    assert f.value() == 28 and f.omega == 2 and f.big_omega == 3
+    assert f.value() == 28 and f.primes() == (2, 7) and f.big_omega == 3
     assert not f.is_squarefree
 
 
@@ -288,33 +288,6 @@ def test_carmichael_lambda_exponent_and_minimality():
             for p in arith.factorize(lam).primes():
                 d = lam // p
                 assert any(pow(a, d, m) != 1 % m for a in units), (m, d)
-
-
-def test_multiplicative_order_examples():
-    assert arith.multiplicative_order(1, 7, arith.factorize(6)) == 1
-    assert arith.multiplicative_order(2, 7, arith.factorize(6)) == 3
-    assert arith.multiplicative_order(2, 9, arith.factorize(6)) == 6
-
-
-def test_multiplicative_order_divides_lambda():
-    rng = random.Random(11)
-    for _ in range(300):
-        m = rng.randrange(2, 2000)
-        a = rng.randrange(1, m)
-        if math.gcd(a, m) != 1:
-            continue
-        lam = arith.carmichael_lambda(arith.factorize(m))
-        e = arith.multiplicative_order(a, m, arith.factorize(lam))
-        assert lam % e == 0
-        assert pow(a, e, m) == 1
-        # minimality against a direct scan for small orders
-        if e <= 64:
-            assert all(pow(a, d, m) != 1 for d in range(1, e))
-
-
-def test_multiplicative_order_domain():
-    with pytest.raises(DomainError):
-        arith.multiplicative_order(6, 9, arith.factorize(6))
 
 
 def test_divisors():

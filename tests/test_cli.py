@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from carmkit import arith, cli, korselt, pipeline, sieve, solver
-from carmkit.errors import DomainError
+from carmkit.errors import DomainError, UnfactoredError
 from carmkit.korselt import Census, census
 from carmkit.solver import AssemblySpec
 
@@ -139,6 +139,23 @@ def test_cli_verify_rejects_before_factoring(capsys, monkeypatch):
     for n in (p * q, 562, 15):
         code, out, err = run_cli(capsys, "verify", str(n))
         assert code == 1 and err == f"{n} is not a Carmichael number\n"
+
+
+def test_cli_verify_names_the_rho_budget(capsys, monkeypatch):
+    # the Chernick number (6k+1)(12k+1)(18k+1) at k = 16830: trial division finds no factor
+    primes = [c * 16830 + 1 for c in (6, 12, 18)]
+    n = math.prod(primes)
+    assert min(primes) > arith.TRIAL_BOUND and all(map(arith.is_prime, primes))
+    monkeypatch.setattr(arith, "RHO_BUDGET", 10)
+    text = f"Brent-rho budget of 10 iterations exhausted; unfactored cofactor {n}"
+    with pytest.raises(UnfactoredError) as ei:
+        arith.factorize(n)
+    assert str(ei.value) == text and ei.value.cofactor == n
+    code, out, err = run_cli(capsys, "verify", str(n))
+    assert (code, out, err) == (3, "", f"error: {text}\n")
+    monkeypatch.undo()  # the default budget factors it
+    code, out, _ = run_cli(capsys, "verify", str(n))
+    assert code == 0 and cli.parse_certificate(out.splitlines()[1]).prime_factors == tuple(primes)
 
 
 def test_cli_census_modulus_1(capsys):

@@ -371,7 +371,7 @@ def test_lambda_and_L_size_bounds_light():
     # single-point check here; the full grid runs in the acceptance suite
     mp = pytest.importorskip("mpmath")
     y, theta = 50, 1.5
-    Q = pipeline.build_Q(pipeline.SmoothPrimeQuery(y, theta, 1))
+    Q = pipeline.build_Q(y, theta, 1)
     L, Lf = pipeline.build_L(Q)
     assert math.log(L) <= 1.02 * y**theta
     lam = arith.carmichael_lambda(Lf)

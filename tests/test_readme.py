@@ -2,6 +2,7 @@
 prints what it shows, and every name its library surface lists exists."""
 
 import importlib
+import inspect
 import re
 import shlex
 from pathlib import Path
@@ -35,19 +36,28 @@ def test_readme_example(argv, expected, capsys):
 
 
 def library_surface():
-    """(module, name) for each backticked name under "## Library surface"."""
+    """(module, name, params) for each backticked name under "## Library
+    surface"; params lists the parameters of a signature `name(a, b)`, else None."""
     text = README.read_text(encoding="utf-8")
     section = text.split("## Library surface\n", 1)[1].split("\n## ", 1)[0]
-    pairs = []
+    entries = []
     for bullet in re.split(r"^- ", section, flags=re.M)[1:]:
         module, *names = re.findall(r"`([^`]+)`", bullet)
-        pairs += [(module, name) for name in names]
-    return pairs
+        for token in names:
+            name, paren, args = token.partition("(")
+            params = [a.strip() for a in args.rstrip(")").split(",")] if paren else None
+            entries.append((module, name, params))
+    return entries
 
 
 def test_readme_library_surface_exists():
-    pairs = library_surface()
-    assert len(pairs) >= 20
-    assert all(module.startswith("carmkit.") for module, _ in pairs)
-    missing = [f"{m}.{n}" for m, n in pairs if not hasattr(importlib.import_module(m), n)]
+    entries = library_surface()
+    assert len(entries) >= 20
+    assert all(module.startswith("carmkit.") for module, _, _ in entries)
+    missing = [f"{m}.{n}" for m, n, _ in entries if not hasattr(importlib.import_module(m), n)]
     assert not missing
+    # a listed signature names the function's parameters, in order
+    wrong = [f"{m}.{n}" for m, n, params in entries if params is not None
+             and list(inspect.signature(getattr(importlib.import_module(m), n)).parameters)
+             != params]
+    assert not wrong

@@ -5,7 +5,6 @@ import pytest
 
 from carmkit import arith, sieve
 from carmkit.errors import CapacityError, DomainError
-from carmkit.sieve import SmoothPrimeQuery
 
 
 def brute_is_prime(n):
@@ -34,9 +33,9 @@ def brute_Q(y, theta, M):
 
 
 def test_build_Q_examples():
-    assert sieve.build_Q(SmoothPrimeQuery(5, 1.5, 1)) == [7, 11]
-    assert sieve.build_Q(SmoothPrimeQuery(2, 1.5, 1)) == []
-    for q in sieve.build_Q(SmoothPrimeQuery(7, 1.8, 3)):
+    assert sieve.build_Q(5, 1.5, 1) == [7, 11]
+    assert sieve.build_Q(2, 1.5, 1) == []
+    for q in sieve.build_Q(7, 1.8, 3):
         assert q % 8 == 7  # 4*phi(3) = 8
 
 
@@ -44,21 +43,18 @@ def test_build_Q_equals_brute_filter():
     cases = [(5, 1.5, 1), (7, 1.8, 3), (20, 1.5, 1), (50, 1.5, 1), (50, 1.2, 4),
              (30, 1.9, 5), (100, 1.5, 6)]
     for y, theta, M in cases:
-        assert sieve.build_Q(SmoothPrimeQuery(y, theta, M)) == brute_Q(y, theta, M), (y, theta, M)
-
-
-def test_build_Q_window_rounding():
-    q = SmoothPrimeQuery(5, 1.5, 1)
-    assert q.window_low == 7 and q.window_high == 11
+        assert sieve.build_Q(y, theta, M) == brute_Q(y, theta, M), (y, theta, M)
 
 
 def test_query_validation():
-    with pytest.raises(DomainError):
-        SmoothPrimeQuery(1, 1.5, 1)
-    with pytest.raises(DomainError):
-        SmoothPrimeQuery(5, 2.0, 1)
-    with pytest.raises(DomainError):
-        SmoothPrimeQuery(5, 1.0, 1)
+    with pytest.raises(DomainError, match="y must be >= 2"):
+        sieve.build_Q(1, 1.5, 1)
+    with pytest.raises(DomainError, match="theta must lie in"):
+        sieve.build_Q(5, 2.0, 1)
+    with pytest.raises(DomainError, match="theta must lie in"):
+        sieve.build_Q(5, 1.0, 1)
+    with pytest.raises(DomainError, match="M must be >= 1"):
+        sieve.build_Q(5, 1.5, 0)
 
 
 def test_count_smooth_primes_examples():
@@ -86,7 +82,7 @@ def test_smooth_windows_across_segment_edges(monkeypatch):
     cases = [(5, 1.5, 1), (7, 1.8, 3), (20, 1.5, 1), (50, 1.5, 1), (50, 1.2, 4),
              (30, 1.9, 5), (100, 1.5, 6)]
     for y, theta, M in cases:
-        assert sieve.build_Q(SmoothPrimeQuery(y, theta, M)) == brute_Q(y, theta, M), (y, theta, M)
+        assert sieve.build_Q(y, theta, M) == brute_Q(y, theta, M), (y, theta, M)
     primes = [q for q in range(2, 3000) if brute_is_prime(q)]
     for z in (67, 68, 132, 3000):
         for v, d, b in [(7, 1, 0), (11, 1, 0), (13, 4, 3), (3000, 6, 1), (2, 2, 1)]:
@@ -128,14 +124,14 @@ def test_count_smooth_primes_domain_and_capacity():
 
 def test_build_Q_capacity():
     with pytest.raises(CapacityError):
-        sieve.build_Q(SmoothPrimeQuery(100_000, 1.99, 1))
+        sieve.build_Q(100_000, 1.99, 1)
 
 
 def test_window_population_at_scale():
     # the analytic density bound is out of reach at desk scale; assert the
     # windows are populated and log the observed density ratio
     for y in (50, 100, 200):
-        Q = sieve.build_Q(SmoothPrimeQuery(y, 1.5, 1))
+        Q = sieve.build_Q(y, 1.5, 1)
         assert len(Q) > 0
         z = y**1.5
         ratio = len(Q) / (z / math.log(z))

@@ -14,7 +14,7 @@ from carmkit.errors import (
     InfeasibleError,
     OrderingError,
 )
-from carmkit.solver import AssemblySpec, GroupSpec
+from carmkit.solver import AssemblySpec
 
 # above 2**31 the searches run mod a block s of the modulus and re-check each
 # match exactly: s = 4096 for 2**12 * P (pools of up to 24, thousands of spurious
@@ -28,20 +28,9 @@ def units_of(m):
     return [u for u in range(1, m) if math.gcd(u, m) == 1]
 
 
-def spec_for(m, phi_M=1):
-    return GroupSpec.from_modulus_fact(arith.factorize(m), phi_M)
-
-
-def test_group_spec_fields():
-    s = spec_for(24)
-    assert s.order == 8 and s.exponent == 2 and s.modulus == 24
-    with pytest.raises(DomainError):
-        GroupSpec(modulus=8, modulus_fact=arith.factorize(8), order=4, exponent=3)
-
-
 def test_compute_invariants_pinned():
     # (Z/24)^x: lambda = 2, |G| = 8 = 2^3
-    inv = solver.compute_invariants(spec_for(24), omega_L=2, x=4182119424)
+    inv = solver.compute_invariants(arith.factorize(24), omega_L=2, x=4182119424)
     assert inv.lambda_G == 2 and inv.omega_lambda == 1 and inv.omega_order == 3
     assert inv.s_G == 58  # ceil(20 * ln 18)
     assert abs(inv.n_bound - (2 + math.log(8))) < 1e-12
@@ -49,17 +38,17 @@ def test_compute_invariants_pinned():
 
 
 def test_compute_invariants_degenerate():
-    inv = solver.compute_invariants(spec_for(2), omega_L=0, x=3)
+    inv = solver.compute_invariants(arith.factorize(2), omega_L=0, x=3)
     assert inv.lambda_G == 1 and inv.s_G == 0 and inv.n_bound == 1.0
     assert inv.degenerate
 
 
 def test_compute_invariants_t_formula():
-    inv = solver.compute_invariants(spec_for(24, phi_M=2), omega_L=2, x=84**5)
+    inv = solver.compute_invariants(arith.factorize(24), omega_L=2, x=84**5, phi_M=2)
     expect = (6 / 5) ** 2 / (60 * 2 * math.log(84**5))
     assert abs(inv.t - expect) < 1e-15
     with pytest.raises(DomainError):
-        solver.compute_invariants(spec_for(24), omega_L=2, x=2)
+        solver.compute_invariants(arith.factorize(24), omega_L=2, x=2)
 
 
 def test_exact_identity_threshold_known_groups():
@@ -78,59 +67,19 @@ def test_exact_identity_threshold_known_groups():
 
 def test_exact_threshold_below_bound():
     for m in (3, 5, 7, 8, 9, 13, 15, 16, 24):
-        s = spec_for(m)
-        inv = solver.compute_invariants(s, omega_L=1, x=3)
+        inv = solver.compute_invariants(arith.factorize(m), omega_L=1, x=3)
         assert solver.exact_identity_threshold(m) <= inv.n_bound + 1e-9, m
 
 
 def test_derive_target():
-    t = solver.derive_target(15, 4, 3)
-    assert (t.h, t.modulus) == (31, 60)
-    assert t.h % 15 == 1 and t.h % 4 == 3 and math.gcd(t.h, t.modulus) == 1
-    t = solver.derive_target(77, 5, 1)
-    assert t.h == 1
+    h, modulus = solver.derive_target(15, 4, 3)
+    assert (h, modulus) == (31, 60)
+    assert h % 15 == 1 and h % 4 == 3 and math.gcd(h, modulus) == 1
+    assert solver.derive_target(77, 5, 1) == (1, 385)
     with pytest.raises(InfeasibleError):
         solver.derive_target(120, 4, 3)  # gcd(120, 4) = 4 does not divide 3 - 1
     with pytest.raises(DomainError):
         solver.derive_target(15, 4, 2)
-
-
-def test_derive_target_exponent_pinned():
-    # ord_7(2) = 3, phi(3) = 2 -> r = 3
-    assert solver.derive_target_exponent(2, arith.factorize(7), 3) == 3
-    # ord_11(3) = 5, phi(5) = 4 -> r = 5
-    assert solver.derive_target_exponent(3, arith.factorize(11), 5) == 5
-    # trivial order
-    assert solver.derive_target_exponent(1, arith.factorize(7), 1) == 1
-    # ord_7(6) = 2 shares a factor with phi(3) = 2
-    with pytest.raises(InfeasibleError):
-        solver.derive_target_exponent(6, arith.factorize(7), 3)
-    with pytest.raises(DomainError):
-        solver.derive_target_exponent(7, arith.factorize(7), 3)
-
-
-def test_derive_target_exponent_properties():
-    rng = random.Random(31)
-    for _ in range(100):
-        L = rng.choice([7, 11, 15, 23, 35, 77])
-        p = rng.randrange(2, 200)
-        if math.gcd(p, L) != 1:
-            continue
-        M = rng.choice([1, 2, 3, 4, 5, 7, 9])
-        Lf = arith.factorize(L)
-        try:
-            r = solver.derive_target_exponent(p, Lf, M)
-        except InfeasibleError:
-            continue
-        phi_M = arith.euler_phi(arith.factorize(M))
-        assert pow(p, r, L) == 1 % L
-        assert r % phi_M == 1 % phi_M
-        order = arith.multiplicative_order(p, L, arith.factorize(arith.carmichael_lambda(Lf)))
-        assert r % order == 0
-        assert r >= 1
-        # least such r
-        for smaller in range(1, min(r, 200)):
-            assert not (smaller % order == 0 and smaller % phi_M == 1 % phi_M)
 
 
 def brute_subsets(pool, modulus, target, min_size, max_size=None):
@@ -314,7 +263,7 @@ def test_subset_find_max_size_clamped():
         assert got is not None and solver.subset_product_find(pool, 1009, 5, 3, 10**6) == got
     # the dp-41 pool: exact size classes 0..41 would exceed DP_CELL_BOUND
     pool = pipeline.erdos_pool(65520, 11)
-    target = solver.derive_target(65520, 11, 3).h
+    target, _ = solver.derive_target(65520, 11, 3)
     want = solver.subset_product_find(pool, 720720, target, 3)
     assert len(pool) == 41 and want == (5, 7, 10, 13, 15, 16, 17)
     for cap in (41, 1000):
@@ -488,7 +437,7 @@ def test_zero_sum_threshold_spotcheck():
     # exactly); moduli picked with small exponent so s(G) stays desk-sized
     rng = random.Random(53)
     for m in (8, 12, 15, 16, 24, 35):
-        inv = solver.compute_invariants(spec_for(m), omega_L=1, x=3)
+        inv = solver.compute_invariants(arith.factorize(m), omega_L=1, x=3)
         units = [u for u in units_of(m) if u != 1]
         pool = [rng.choice(units) for _ in range(inv.s_G)]
         got = solver.subset_product_find(pool, m, 1, 1)
@@ -505,12 +454,11 @@ def test_size_bounds_on_smooth_groups():
     from carmkit import pipeline, sieve
 
     for y, theta in [(50, 1.2), (50, 1.5), (100, 1.5), (200, 1.8)]:
-        Q = sieve.build_Q(sieve.SmoothPrimeQuery(y, theta, 1))
+        Q = sieve.build_Q(y, theta, 1)
         _, L_fact = pipeline.build_L(Q)
-        spec = GroupSpec.from_modulus_fact(L_fact)
-        inv = solver.compute_invariants(spec, omega_L=len(Q), x=3)
+        inv = solver.compute_invariants(L_fact, omega_L=len(Q), x=3)
         assert math.log(inv.s_G) <= 7 * theta * y, (y, theta)
-        n_int = spec.exponent + int(math.log(spec.order)) + 1  # >= n_bound
+        n_int = inv.lambda_G + int(math.log(arith.euler_phi(L_fact))) + 1  # >= n_bound
         assert math.log(n_int) <= 3 * theta * y, (y, theta)
 
 
