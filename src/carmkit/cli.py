@@ -6,6 +6,11 @@ request. Exit codes: 0 = at least one result, 1 = completed empty,
 2 = usage error (including out-of-range construct parameters, a malformed
 or unreadable pool file and an unwritable --output), 3 = capacity or
 infeasibility, 4 = internal error (two independent computations disagreed).
+
+verify splits n at square roots of 1 with the fixed bases of
+korselt.carmichael_factors, and a base that shows a**(n-1) != 1 ends it at
+exit 1. Only a part that no base splits goes to the Brent-rho budget of
+arith.factorize, whose exhaustion is exit 3.
 """
 
 from __future__ import annotations
@@ -16,9 +21,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .arith import factorize
 from .errors import AssemblyError, CarmkitError, DomainError
-from .korselt import Census, census, korselt_check
+from .korselt import Census, carmichael_factors, census, korselt_check
 from .pipeline import (
     Caps,
     ConstructionParams,
@@ -263,8 +267,10 @@ def _header_lines(cfg: argparse.Namespace) -> list[str]:
 
 def _run_verify(cfg: argparse.Namespace) -> tuple[int, list[str]]:
     n = cfg.n
-    # a Carmichael number is odd and a Fermat pseudoprime to base 2: reject before factoring
-    if n % 2 == 0 or pow(2, n - 1, n) != 1 or not korselt_check(n, f := factorize(n)):
+    # None: a base proved n is not Carmichael, with no factoring; otherwise
+    # korselt_check decides on the factorization
+    f = carmichael_factors(n)
+    if f is None or not korselt_check(n, f):
         print(f"{n} is not a Carmichael number", file=sys.stderr)
         return 1, []
     cert = assemble(f.primes(), AssemblySpec(mode="external", multiplier=0, L=0, M=1, a=0))
@@ -375,6 +381,10 @@ def run(cfg: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     cfg = parse_args(sys.argv[1:] if argv is None else argv)
+    # arguments keep Python's digit limit; output such as an agp L of 10**5
+    # digits does not, and the limit comes back for the caller's next parse
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return run(cfg)
     except (AssertionError, AssemblyError) as e:
@@ -383,6 +393,8 @@ def main(argv=None) -> int:
     except CarmkitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

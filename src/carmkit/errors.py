@@ -1,6 +1,12 @@
 """Exception hierarchy shared across the package."""
 
 
+def int_text(n: int) -> str:
+    """n as a message names it: in decimal below 10**100 in size, else by its
+    bit length, so that no message formats a number of thousands of digits."""
+    return str(n) if abs(n) < 10**100 else f"<{n.bit_length()}-bit number>"
+
+
 class CarmkitError(Exception):
     """Base class for all library errors."""
 
@@ -19,7 +25,8 @@ class UnfactoredError(CarmkitError):
     def __init__(self, cofactor: int, budget: int):
         self.cofactor = cofactor
         super().__init__(
-            f"Brent-rho budget of {budget} iterations exhausted; unfactored cofactor {cofactor}")
+            f"Brent-rho budget of {budget} iterations exhausted; "
+            f"unfactored cofactor {int_text(cofactor)}")
 
 
 class CrtConflictError(DomainError):
@@ -28,10 +35,9 @@ class CrtConflictError(DomainError):
     def __init__(self, pair_a: tuple[int, int], pair_b: tuple[int, int]):
         self.pair_a = pair_a
         self.pair_b = pair_b
+        (ra, ma), (rb, mb) = (map(int_text, pair) for pair in (pair_a, pair_b))
         super().__init__(
-            f"incompatible congruences: x ≡ {pair_a[0]} (mod {pair_a[1]}) "
-            f"vs x ≡ {pair_b[0]} (mod {pair_b[1]})"
-        )
+            f"incompatible congruences: x ≡ {ra} (mod {ma}) vs x ≡ {rb} (mod {mb})")
 
 
 class ConstructionError(CarmkitError):

@@ -1,7 +1,8 @@
 """Carmichael verification and exhaustive enumeration.
 
 korselt_check is the independent oracle every constructed number must pass:
-composite, squarefree, and p-1 | n-1 for each prime p | n. The enumerator
+composite, squarefree, and p-1 | n-1 for each prime p | n. carmichael_factors
+splits a claimed Carmichael number at square roots of 1. The enumerator
 sieves segments of odd integers; survivors are rare enough that their
 factorizations are rebuilt one by one.
 """
@@ -14,12 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .arith import Factorization, factorize
+from .arith import Factorization, factorize, is_prime
 from .errors import CapacityError, DomainError
 
 ENUMERATION_CAP = 100_000_000
 CENSUS_MODULUS_CAP = 1_000_000
 DEFAULT_SEGMENT = 1 << 20  # even, so every segment starts odd
+SPLIT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
 def korselt_check(n: int, f: Factorization) -> bool:
@@ -31,6 +33,64 @@ def korselt_check(n: int, f: Factorization) -> bool:
     if not f.is_squarefree:
         return False
     return all((n - 1) % (p - 1) == 0 for p in f.primes())
+
+
+def _root_split(m: int, a: int, d: int, s: int) -> int:
+    """A proper factor of m from base a and the exponent d * 2**s: a itself if
+    it divides m, else gcd(x - 1, m) for a square root x != +-1 of 1 on the
+    chain a**d, a**(2d), ...; 1 if the chain gives none; 0 if
+    a**(d * 2**s) != 1 mod m."""
+    if m % a == 0:
+        return a
+    x = pow(a, d, m)
+    if x == 1:
+        return 1
+    for _ in range(s):
+        y = x * x % m
+        if y == 1:
+            return 1 if x == m - 1 else math.gcd(x - 1, m)
+        x = y
+    return 0
+
+
+def carmichael_factors(n: int) -> Factorization | None:
+    """The factorization of n if n is a Carmichael number; None once a base
+    proves that n is not one.
+
+    Miller's reduction: lambda(n) | n - 1 for a Carmichael n, so every base a
+    coprime to a part m of n has a**(n-1) = 1 mod m, and the squaring chain
+    up to a**(n-1) passes a square root of 1 that splits m unless it is +-1.
+    Every part keeps the exponent n - 1, as lambda(m) | lambda(n); its own
+    m - 1 need not work. Parts run through SPLIT_BASES in order until
+    is_prime holds; a part that no base splits goes to arith.factorize. For an
+    n that is not Carmichael the result can still be a factorization, which
+    korselt_check then rejects.
+    """
+    if n < 3 or n % 2 == 0:
+        return None
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    found: dict[int, int] = {}
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            found[m] = found.get(m, 0) + 1
+            continue
+        for a in SPLIT_BASES:
+            g = _root_split(m, a, d, s)
+            if g != 1:
+                break
+        else:  # no base splits m
+            for p, e in factorize(m):
+                found[p] = found.get(p, 0) + e
+            continue
+        if g == 0:
+            return None
+        stack += (g, m // g)
+    return Factorization.of(sorted(found.items()))
 
 
 def fermat_witness(n: int, a: int) -> bool:

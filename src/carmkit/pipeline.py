@@ -177,7 +177,8 @@ def _divisors_upto(fact: Factorization, bound: int) -> list[int]:
             divs = sorted(divs + power)
             if len(divs) > DIVISOR_CAP:
                 raise CapacityError(
-                    f"{fact.value()} has more divisors to list than the divisor cap {DIVISOR_CAP}")
+                    f"L of {len(fact.pairs)} primes ({fact.value().bit_length()} bits) has more"
+                    f" divisors to list than the divisor cap {DIVISOR_CAP}")
     return divs
 
 

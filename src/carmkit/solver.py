@@ -48,6 +48,7 @@ from .errors import (
     DomainError,
     InfeasibleError,
     OrderingError,
+    int_text,
 )
 from .korselt import korselt_check
 
@@ -182,9 +183,9 @@ def derive_target(L: int, M: int, a: int) -> tuple[int, int]:
     try:
         return crt([(1, L), (a, M)])
     except CrtConflictError as e:
-        raise InfeasibleError(
-            f"no element is 1 mod {L} and {a} mod {M}: gcd({L}, {M}) does not divide {a - 1}"
-        ) from e
+        L_text = int_text(L)
+        raise InfeasibleError(f"no element is 1 mod {L_text} and {a} mod {M}: "
+                              f"gcd({L_text}, {M}) does not divide {a - 1}") from e
 
 
 def _validate_pool(pool, modulus: int, min_size: int) -> list[int]:
@@ -195,7 +196,7 @@ def _validate_pool(pool, modulus: int, min_size: int) -> list[int]:
         raise DomainError(f"modulus must be >= 1, got {modulus}")
     for p in pool:
         if math.gcd(p, modulus) != 1:
-            raise DomainError(f"pool element {p} is not coprime to modulus {modulus}")
+            raise DomainError(f"pool element {p} is not coprime to modulus {int_text(modulus)}")
     return pool
 
 
@@ -277,7 +278,8 @@ def _find_dp(pool, modulus, target, min_size, max_size):
     n = len(pool)
     if modulus >= _kernels.INT64_MOD_LIMIT:
         raise CapacityError(
-            f"modulus {modulus} is too large for the residue DP; reduce the pool to <= {MITM_LIMIT}"
+            f"modulus {int_text(modulus)} is too large for the residue DP; "
+            f"reduce the pool to <= {MITM_LIMIT}"
         )
     capped = max_size is None
     n_classes = (min_size if capped else max_size) + 1

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -132,13 +133,32 @@ def test_cli_verify(capsys):
 
 
 def test_cli_verify_rejects_before_factoring(capsys, monkeypatch):
-    # a Carmichael number is odd and passes the base-2 Fermat test; an 82-digit
-    # semiprime that fails it would otherwise exhaust the factoring budget
+    # a Carmichael number is odd and passes the Fermat test to every base coprime
+    # to it; an 82-digit semiprime that fails it would otherwise exhaust the
+    # factoring budget, and 2**101 - 1 fails it only at base 3
     p, q = (next(n for n in range(s, 2 * s) if arith.is_prime(n)) for s in (10**40, 3 * 10**41))
-    monkeypatch.setattr(cli, "factorize", lambda n: pytest.fail(f"factorize({n}) called"))
-    for n in (p * q, 562, 15):
+    monkeypatch.setattr(korselt, "factorize", lambda n: pytest.fail(f"factorize({n}) called"))
+    for n in (p * q, 562, 15, 2**101 - 1):
         code, out, err = run_cli(capsys, "verify", str(n))
         assert code == 1 and err == f"{n} is not a Carmichael number\n"
+
+
+def test_cli_verify_splits_large_chernick_numbers(capsys, monkeypatch):
+    # Chernick numbers (6k+1)(12k+1)(18k+1) split at square roots of 1, with no rho
+    monkeypatch.setattr(korselt, "factorize", lambda n: pytest.fail(f"factorize({n}) called"))
+    ks = [10**19 + 11525] + [10**16 + i for i in (
+        16175, 17075, 19526, 24071, 31265, 31555, 33696, 38470, 45180, 46430,
+        49780, 50251, 51435, 53100, 54361, 62366, 67150, 67280, 67671, 67990)]
+    assert len(str(math.prod(c * ks[0] + 1 for c in (6, 12, 18)))) == 61
+    for k in ks:
+        primes = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        n = math.prod(primes)
+        assert n > 10**50 and all(map(arith.is_prime, primes))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", str(n))
+        assert time.perf_counter() - start < 1.0, k
+        assert (code, err) == (0, "")
+        assert cli.parse_certificate(out.splitlines()[1]).prime_factors == primes
 
 
 def test_cli_verify_names_the_rho_budget(capsys, monkeypatch):
@@ -151,11 +171,19 @@ def test_cli_verify_names_the_rho_budget(capsys, monkeypatch):
     with pytest.raises(UnfactoredError) as ei:
         arith.factorize(n)
     assert str(ei.value) == text and ei.value.cofactor == n
-    code, out, err = run_cli(capsys, "verify", str(n))
-    assert (code, out, err) == (3, "", f"error: {text}\n")
-    monkeypatch.undo()  # the default budget factors it
+    # verify splits it without rho; a strong pseudoprime to every base it is
+    # given reaches factorize, and so the budget
     code, out, _ = run_cli(capsys, "verify", str(n))
     assert code == 0 and cli.parse_certificate(out.splitlines()[1]).prime_factors == tuple(primes)
+    spsp = 3825123056546413051
+    monkeypatch.setattr(korselt, "SPLIT_BASES", (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+    text = f"Brent-rho budget of 10 iterations exhausted; unfactored cofactor {spsp}"
+    code, out, err = run_cli(capsys, "verify", str(spsp))
+    assert (code, out, err) == (3, "", f"error: {text}\n")
+    monkeypatch.undo()  # base 37 splits it
+    code, out, _ = run_cli(capsys, "verify", str(spsp))
+    assert code == 0
+    assert cli.parse_certificate(out.splitlines()[1]).prime_factors == (149491, 747451, 34233211)
 
 
 def test_cli_census_modulus_1(capsys):
@@ -379,6 +407,24 @@ def test_cli_capacity_exit_code(capsys):
     code, out, err = run_cli(capsys, "construct", "--mode", "agp", "--modulus", "1",
                              "--residue", "0", "--y", "60", "--theta", "1.5", "--B", "2/5")
     assert (code, out) == (3, "") and cap in err
+
+
+def test_cli_big_numbers_are_named_by_size(capsys):
+    # L is the product of 49448 primes, 309944 digits: past Python's digit
+    # limit for int-to-str, so the divisor-cap message names L by its size
+    code, out, err = run_cli(capsys, "construct", "--mode", "agp", "--modulus", "1",
+                             "--residue", "0", "--y", "3000", "--theta", "1.9", "--B", "2/5",
+                             "--x-cap", "1000000000000", "--k-cap", "100",
+                             "--no-qr-filter", "--no-residue-filter")
+    assert (code, out) == (3, "")
+    assert err == (f"error: L of 49448 primes (1029611 bits) has more divisors to list"
+                   f" than the divisor cap {pipeline.DIVISOR_CAP}\n")
+    # the digit limit still holds for arguments, and after the run
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["verify", "1" * 4301])
+    assert ei.value.code == 2 and "invalid int value" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        str(10**4300)
 
 
 def test_cli_construct_agp_float_overflow_is_no_traceback(capsys):

@@ -101,6 +101,38 @@ def test_korselt_iff_fermat_for_all_composites():
             assert any(not korselt.fermat_witness(n, a) for a in range(2, n)), n
 
 
+def test_carmichael_factors_matches_factorize_below_1e7():
+    found = korselt.enumerate_carmichael(10**7)
+    assert len(found) == 105  # OEIS A055553
+    for n, f in found:
+        assert korselt.carmichael_factors(n) == f, n
+
+
+def test_carmichael_factors_decides_like_factorize():
+    # odd n < 2e4: None only for a non-Carmichael n, and any factorization is exact
+    for n in range(1, 20_001, 2):
+        f = korselt.carmichael_factors(n)
+        carmichael = korselt.korselt_check(n, arith.factorize(n))
+        if f is None:
+            assert not carmichael, n
+        else:
+            assert f == arith.factorize(n) and korselt.korselt_check(n, f) == carmichael, n
+    assert korselt.carmichael_factors(2) is None and korselt.carmichael_factors(561 * 2) is None
+
+
+def test_carmichael_factors_strong_pseudoprime_to_bases_up_to_31():
+    n = 3825123056546413051
+    assert arith._miller_rabin(n, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+    assert korselt.carmichael_factors(n).pairs == ((149491, 1), (747451, 1), (34233211, 1))
+
+
+def test_carmichael_factors_rejects_fermat_pseudoprime():
+    # 2**101 - 1 is a base-2 Fermat pseudoprime; base 3 proves it is not Carmichael
+    n = 2**101 - 1
+    assert pow(2, n - 1, n) == 1 and not arith.is_prime(n)
+    assert korselt.carmichael_factors(n) is None
+
+
 def test_census_examples():
     c = korselt.census(10_000, 4)
     assert c.counts == {1: 6, 3: 1} and c.other == 0

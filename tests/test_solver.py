@@ -82,6 +82,22 @@ def test_derive_target():
         solver.derive_target(15, 4, 2)
 
 
+def test_messages_name_big_numbers_by_size():
+    # past Python's 4300-digit limit for int-to-str, a message gives the size
+    with pytest.raises(InfeasibleError) as ei:
+        solver.derive_target(120, 4, 3)
+    assert str(ei.value) == "no element is 1 mod 120 and 3 mod 4: gcd(120, 4) does not divide 2"
+    with pytest.raises(InfeasibleError) as ei:
+        solver.derive_target(2**20000, 4, 3)
+    assert str(ei.value) == ("no element is 1 mod <20001-bit number> and 3 mod 4: "
+                             "gcd(<20001-bit number>, 4) does not divide 2")
+    pool = [p for p in range(5, 200) if arith.is_prime(p)][: solver.MITM_LIMIT + 1]
+    with pytest.raises(CapacityError, match=r"^modulus <20174-bit number> is too large"):
+        solver.subset_product_find(pool, 3**12728, 1, 3)
+    with pytest.raises(DomainError, match=r"^pool element 3 is not coprime to modulus <20174-bit"):
+        solver.subset_product_find([3, 5, 7], 3**12728, 1, 1)
+
+
 def brute_subsets(pool, modulus, target, min_size, max_size=None):
     n = len(pool)
     cap = max_size if max_size is not None else n
