@@ -10,6 +10,14 @@ only those with t = 1 (mod p-1).
 ``all_subset_products`` is int64 below ``INT64_MOD_LIMIT`` and Python ints
 (object arrays) above. Other arbitrary-precision paths live outside this
 module.
+``strong_probable_primes`` runs Miller-Rabin over an array of odd
+candidates below ``MR_LIMIT`` = 2**50, keeping only the survivors of each
+base. Below 2**32 it multiplies exactly, x*y % n. Above, the float64 quotient
+q of x*y/n is off by at most 1: three roundings (of x*y, 1/n and their
+product) of relative error 2**-53 each move a quotient below 2**50 by less
+than 3/8. So x*y - q*n, exact in wrapping uint64 arithmetic, lies in
+[-n, 2n), and one signed remainder corrects it. Larger candidates take the
+scalar ``arith.is_prime``.
 ``scan_segments`` runs a sieve over a long range one segment at a time, so
 memory stays O(segment).
 """
@@ -21,6 +29,8 @@ import concurrent.futures
 import numpy as np
 
 INT64_MOD_LIMIT = 1 << 31  # residues below this multiply without int64 overflow
+MR_LIMIT = 1 << 50  # strong_probable_primes takes candidates below this
+_MR_EXACT = 1 << 32  # below this, x*y < 2**64 is exact in uint64
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -145,3 +155,69 @@ def all_subset_products(res, m: int) -> tuple[np.ndarray, np.ndarray]:
         prod[half : 2 * half] = prod[:half] * res[i] % m
         size[half : 2 * half] = size[:half] + 1
     return prod, size
+
+
+def _mulmod(x: np.ndarray, y: np.ndarray, n: np.ndarray, inv: np.ndarray | None) -> np.ndarray:
+    """x*y mod n for uint64 arrays x, y < n; ``inv`` is 1/n in float64, or None
+    when n < 2**32 and x*y is exact (the float quotient's bound: module docstring)."""
+    if inv is None:
+        return x * y % n
+    q = np.multiply(x, y, dtype=np.float64)
+    q *= inv
+    r = x * y
+    r -= q.astype(np.uint64) * n
+    r = r.view(np.int64)
+    r %= n.view(np.int64)  # from [-n, 2n) to [0, n)
+    return r.view(np.uint64)
+
+
+def strong_probable_primes(n, bases) -> np.ndarray:
+    """Flags, per odd n in (53, 2**50) with no prime factor <= 53: n is a
+    strong probable prime to every base in ``bases``, as arith._miller_rabin
+    decides it (a base = 0 mod n passes).
+
+    Each base runs on the survivors of the ones before it, so a composite
+    costs about one base.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    if n.size and (n.min() <= 53 or n.max() >= MR_LIMIT or not np.all(n & 1)):
+        raise ValueError("strong_probable_primes takes odd candidates in (53, 2**50)")
+    n = n.astype(np.uint64)
+    one = np.uint64(1)
+    low = (n - one) & ~(n - one - one)  # the lowest set bit of n - 1, 2**s
+    d = (n - one) // low  # n - 1 = d * 2**s, d odd
+    s = np.frexp(low.astype(np.float64))[1] - 1  # exact: low = 0.5 * 2**(s+1)
+    alive = np.arange(n.size)
+    for a in bases:
+        if not alive.size:
+            break
+        m, e = n[alive], d[alive]
+        inv = None if m.max() < _MR_EXACT else 1.0 / m.astype(np.float64)
+        b = np.uint64(a) % m
+        # x = b**e mod m, right to left over the bits of e
+        x = np.ones_like(m)
+        sq = b
+        while True:
+            odd = (e & one).astype(bool)
+            x = np.where(odd, _mulmod(x, sq, m, inv), x)
+            e = e >> one
+            if not e.any():
+                break
+            sq = _mulmod(sq, sq, m, inv)
+        top = m - one
+        ok = (b == 0) | (x == one) | (x == top)
+        # the squaring chain x**2, ..., x**(2**(s-1)) must reach n - 1
+        at = np.flatnonzero(~ok)
+        for i in range(1, int(s[alive].max())):
+            at = at[s[alive[at]] > i]
+            if not at.size:
+                break
+            sub = None if inv is None else inv[at]
+            x[at] = _mulmod(x[at], x[at], m[at], sub)
+            hit = x[at] == top[at]
+            ok[at[hit]] = True
+            at = at[~hit]
+        alive = alive[ok]
+    flags = np.zeros(n.size, dtype=bool)
+    flags[alive] = True
+    return flags

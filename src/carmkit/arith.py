@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CrtConflictError, DomainError, UnfactoredError
+from .errors import CrtConflictError, DomainError, UnfactoredError, int_text
 
 # (bound, bases): Miller-Rabin over the bases is exact for n < bound, and each
 # bound but 2**64 is itself a composite strong pseudoprime to its own set.
@@ -61,10 +61,7 @@ class Factorization:
         return cls(tuple((int(p), int(e)) for p, e in pairs))
 
     def value(self) -> int:
-        n = 1
-        for p, e in self.pairs:
-            n *= p**e
-        return n
+        return product(p**e for p, e in self.pairs)
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.pairs)
@@ -80,6 +77,25 @@ class Factorization:
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.pairs)
+
+
+def product(factors) -> int:
+    """The product of the ints ``factors``, multiplied pairwise up a balanced
+    tree, so that big operands meet operands of like size: subquadratic where a
+    running product of many small factors is quadratic in the result's size."""
+    level = list(factors)
+    while len(level) > 1:  # an odd one out moves up a level as it is
+        level = [a * b for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1 :]
+    return level[0] if level else 1
+
+
+def mr_band(n: int) -> tuple[int, tuple[int, ...]]:
+    """(bound, bases): the first _MR_TABLE band whose bound exceeds n, for
+    0 <= n < 2**64. Miller-Rabin over the bases is exact below the bound."""
+    for band in _MR_TABLE:
+        if n < band[0]:
+            return band
+    raise DomainError(f"mr_band takes n < 2**64, got {int_text(n)}")
 
 
 def _is_square(n: int) -> bool:
@@ -164,9 +180,8 @@ def is_prime(n: int) -> bool:
     for p in _TRIAL_PRIMES:
         if n % p == 0:
             return n == p
-    for bound, bases in _MR_TABLE:
-        if n < bound:
-            return _miller_rabin(n, bases)
+    if n < PROBABLE_PRIME_THRESHOLD:
+        return _miller_rabin(n, mr_band(n)[1])
     return _miller_rabin(n, _MR_PRIME_BASES) and _strong_lucas(n)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .arith import Factorization, factorize, is_prime
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, int_text
 
 ENUMERATION_CAP = 100_000_000
 CENSUS_MODULUS_CAP = 1_000_000
@@ -27,7 +27,8 @@ SPLIT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 def korselt_check(n: int, f: Factorization) -> bool:
     """True iff n is composite, squarefree, and p-1 | n-1 for every prime p | n."""
     if f.value() != n:
-        raise DomainError(f"factorization {f.pairs} does not multiply to {n}")
+        pairs = ", ".join(f"({int_text(p)}, {int_text(e)})" for p, e in f.pairs)
+        raise DomainError(f"factorization ({pairs}) does not multiply to {int_text(n)}")
     if f.big_omega < 2:
         return False
     if not f.is_squarefree:

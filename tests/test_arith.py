@@ -56,6 +56,19 @@ def test_is_prime_table_bounds_are_pseudoprimes_to_their_sets():
         # the set does not decide its own bound, so the next band's set must
         assert arith._miller_rabin(bound, bases)
         assert not arith.is_prime(bound)
+    # mr_band is the one lookup: each band holds the integers below its bound
+    for band, later in zip(arith._MR_TABLE, arith._MR_TABLE[1:]):
+        assert arith.mr_band(band[0] - 1) == band and arith.mr_band(band[0]) == later
+    with pytest.raises(DomainError):
+        arith.mr_band(arith.PROBABLE_PRIME_THRESHOLD)
+
+
+def test_product_matches_running_product():
+    rng = random.Random(7)
+    for n in (0, 1, 2, 3, 17, 1000):
+        factors = [rng.randrange(1, 10**6) for _ in range(n)]
+        assert arith.product(factors) == math.prod(factors)
+        assert arith.product(iter(factors)) == math.prod(factors)
 
 
 def test_is_prime_rejects_A014233():

@@ -205,3 +205,69 @@ def test_all_products_big_modulus_matches_oracle():
         pb, sb = all_products_loops(res, m)
         assert pa.dtype == object
         assert pa.tolist() == pb and sa.tolist() == sb
+
+
+# Miller-Rabin: strong_probable_primes against arith, candidates with no factor <= 53
+
+def _sieved(values):
+    return [n for n in values if n > 53 and all(n % r for r in arith._TRIAL_PRIMES)]
+
+
+def test_strong_probable_primes_below_1e6_match_is_prime():
+    cands = _sieved(range(55, 10**6, 2))
+    flags = K.strong_probable_primes(np.array(cands), arith.mr_band(10**6)[1])
+    assert flags.tolist() == [arith.is_prime(n) for n in cands]
+
+
+def test_strong_probable_primes_band_ends():
+    # each band's bound is a strong pseudoprime to its own set, caught by the next band's
+    bands = arith._MR_TABLE
+    for (bound, bases), (_, next_bases) in zip(bands[:2], bands[1:3]):
+        assert _sieved([bound]) == [bound] and bound < K.MR_LIMIT
+        assert K.strong_probable_primes([bound], bases).tolist() == [True]
+        assert K.strong_probable_primes([bound], next_bases).tolist() == [False]
+        assert not arith.is_prime(bound)
+
+
+def test_strong_probable_primes_on_A014233():
+    # a(k), the least strong pseudoprime to the first k prime bases, passes those
+    # and fails the first j; 2047 = 23 * 89 is left out, as the kernel takes no
+    # candidate with a factor <= 53, and a(7) = a(8) fails only at 9 bases
+    primes = arith._TRIAL_PRIMES
+    for k, j, n in [(2, 3, 1373653), (3, 4, 25326001), (4, 5, 3215031751), (5, 6, 2152302898747),
+                    (6, 7, 3474749660383), (8, 9, 341550071728321)]:
+        assert _sieved([n]) == [n] and n < K.MR_LIMIT
+        assert K.strong_probable_primes([n], primes[:k]).tolist() == [True]
+        assert K.strong_probable_primes([n], primes[:j]).tolist() == [False]
+        assert K.strong_probable_primes([n], arith.mr_band(n)[1]).tolist() == [arith.is_prime(n)]
+
+
+@pytest.mark.parametrize("top", [1 << 32, 1 << 50])
+def test_mulmod_just_below_limits_matches_python_ints(top):
+    rng = random.Random(top)
+    n = np.array([top - 1 - 2 * rng.randrange(1 << 20) for _ in range(2000)], dtype=np.uint64)
+    x = np.array([rng.randrange(int(m)) for m in n] + [int(m) - 1 for m in n[:50]], dtype=np.uint64)
+    y = np.array([rng.randrange(int(m)) for m in n] + [int(m) - 1 for m in n[:50]], dtype=np.uint64)
+    n = np.concatenate((n, n[:50]))
+    # the float quotient path runs at both sizes; the exact one only below 2**32
+    inverses = [1.0 / n.astype(np.float64)] + ([None] if top <= 1 << 32 else [])
+    want = [int(a) * int(b) % int(m) for a, b, m in zip(x, y, n)]
+    for inv in inverses:
+        assert K._mulmod(x, y, n, inv).tolist() == want
+
+
+@pytest.mark.parametrize("top", [1 << 32, 1 << 50])
+def test_strong_probable_primes_just_below_limits_match_is_prime(top):
+    rng = random.Random(-top)
+    cands = _sieved(top - 1 - 2 * rng.randrange(1 << 24) for _ in range(6000))
+    flags = K.strong_probable_primes(np.array(cands), arith.mr_band(top - 1)[1])
+    assert flags.tolist() == [arith.is_prime(n) for n in cands]
+    assert 0 < flags.sum() < len(cands)
+
+
+def test_strong_probable_primes_domain():
+    bases = arith.mr_band(100)[1]
+    assert K.strong_probable_primes(np.empty(0, np.int64), bases).tolist() == []
+    for bad in ([53], [59, 60], [K.MR_LIMIT + 1]):
+        with pytest.raises(ValueError):
+            K.strong_probable_primes(bad, bases)

@@ -31,6 +31,12 @@ def test_korselt_check_rejects_wrong_factorization():
         korselt.korselt_check(561, arith.factorize(1105))
 
 
+def test_korselt_check_names_big_numbers_by_size():
+    # 3**10000 + 2 has 4772 digits, past Python's limit for int-to-str conversion
+    with pytest.raises(DomainError, match=r"\(\(3, 10000\)\) does not multiply to <15850-bit"):
+        korselt.korselt_check(3**10000 + 2, arith.Factorization.of([(3, 10000)]))
+
+
 def test_korselt_check_non_squarefree_and_prime_power():
     assert not korselt.korselt_check(9, arith.factorize(9))
     assert not korselt.korselt_check(1, arith.factorize(1))

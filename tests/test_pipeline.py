@@ -1,12 +1,16 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from carmkit import arith, pipeline
 from carmkit.errors import CapacityError, ConstructionError, DomainError
 from carmkit.pipeline import Caps, ConstructionParams, PoolFilters
+
+REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
 
 
 def oracle_is_prime(n):
@@ -209,6 +213,77 @@ def test_pool_rule_beyond_2_64():
             assert pool[0][0] < 2**64 < pool[-1][0]
 
 
+def _spy_kernel(monkeypatch):
+    """The base sets of the batched kernel's calls, recorded as it runs."""
+    kernel, calls = pipeline.strong_probable_primes, []
+
+    def spy(n, bases):
+        calls.append(bases)
+        return kernel(n, bases)
+
+    monkeypatch.setattr(pipeline, "strong_probable_primes", spy)
+    return calls
+
+
+@pytest.mark.parametrize("batch_min", [1, pipeline._BATCH_MIN, 10**9])
+def test_pool_rule_batched_and_scalar_match_brute(monkeypatch, batch_min):
+    # find_k0's grid has more sieved candidates than the crossover, build_pool's
+    # one k fewer: at the default both paths run, at the extremes one of them
+    monkeypatch.setattr(pipeline, "_BATCH_MIN", batch_min)
+    calls = _spy_kernel(monkeypatch)
+    L, x, cap = 7 * 11 * 13 * 17 * 19 * 23, 10**7, 200
+    # an M past int64 leaves one candidate in the class: p = a = 1009 = 7 * 144 + 1
+    for M, a, qr, res in [(1, 0, False, False), (4, 3, True, True), (5, 2, False, True),
+                          (2**64 + 1, 1009, False, True)]:
+        filters = PoolFilters(require_qr=qr, require_residue=res)
+        got = pipeline.find_k0(arith.factorize(L), x, M, a, filters, cap)
+        assert got == brute_find_k0(L, x, M, a, cap, require_qr=qr, require_residue=res)
+        params = ConstructionParams(M=M, a=a, mode="agp", y=5, theta=1.5, B=Fraction(2, 5),
+                                    filters=filters)
+        pool = pipeline.build_pool(arith.factorize(L), x, got[0], params)
+        assert pool == brute_pool(L, got[0], x, M, a, qr, res) and len(pool) == got[1]
+        scans = len(calls)
+        pipeline.build_pool(arith.factorize(L), x, got[0], params)
+        assert (len(calls) > scans) == (batch_min == 1)
+    assert bool(calls) == (batch_min < 10**9)
+
+
+@pytest.mark.parametrize("x", [2**50, 2**50 + 1])
+def test_pool_rule_at_the_kernel_limit_matches_brute(monkeypatch, x):
+    # candidates up to x - 1 < 2**50 go to the kernel, on the base set of each
+    # one's band; from x - 1 = 2**50 on, the whole grid runs is_prime
+    calls = _spy_kernel(monkeypatch)
+    L = math.prod((59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107))
+    got = pipeline.find_k0(arith.factorize(L), x, 1, 0, PoolFilters(), 4)
+    assert got == brute_find_k0(L, x, 1, 0, 4)
+    params = ConstructionParams(M=1, a=0, mode="agp", y=5, theta=1.5, B=Fraction(2, 5),
+                                filters=PoolFilters())
+    pool = pipeline.build_pool(arith.factorize(L), x, got[0], params)
+    # the pool reaches the third band, above 55245642489451
+    assert pool == brute_pool(L, got[0], x, 1, 0) and pool[-1][0] > arith._MR_TABLE[1][0]
+    if x - 1 < 2**50:
+        assert set(calls) == {bases for _, bases in arith._MR_TABLE[:3]}
+    else:
+        assert not calls
+
+
+def test_agp_matches_independent_references():
+    # perfbench/refs.json holds k0, L and the capped pool of each agp benchmark
+    # request, rebuilt with sympy from the definitions, at B = 2/5
+    refs = json.loads(REFS.read_text(encoding="utf-8"))["agp"]
+    assert len(refs) == 6
+    for key, per_residue in refs.items():
+        y, theta, M, x_cap, k_cap, cap, filters = key.split(":")
+        for a, ref in per_residue.items():
+            params = ConstructionParams(
+                M=int(M), a=int(a), mode="agp", y=int(y), theta=float(theta), B=Fraction(2, 5),
+                caps=Caps(x_cap=int(x_cap), k_cap=int(k_cap), pool_cap=int(cap)),
+                filters=PoolFilters(filters == "1", filters == "1"))
+            state = pipeline.run_agp_construction(params)
+            assert (state.k0, state.L, [p for p, _ in state.pool]) == (
+                ref["k0"], ref["L"], ref["pool"]), (key, a)
+
+
 def test_pool_rule_keeps_sieving_primes():
     # p = d*k + 1 <= 53 may be a prime the grid sieves by: it stays in the pool,
     # while its multiples, such as 4 = 3*1 + 1 or 21 = 5*4 + 1, are struck
@@ -275,10 +350,12 @@ def test_find_k0_candidate_cap_before_any_primality_test(monkeypatch):
     class Scanned(Exception):
         pass
 
-    def is_prime(n):
+    def scanned(*args):
         raise Scanned
 
-    monkeypatch.setattr(pipeline, "is_prime", is_prime)
+    # both primality paths: is_prime one candidate at a time, and the batched kernel
+    monkeypatch.setattr(pipeline, "is_prime", scanned)
+    monkeypatch.setattr(pipeline, "strong_probable_primes", scanned)
     cap = f"k0 scan cap {pipeline.K0_SCAN_CAP}"
     # L = 1 has the one divisor 1, so the scan has min(k_cap, x-1) candidates
     one = arith.factorize(1)
