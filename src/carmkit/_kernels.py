@@ -12,10 +12,9 @@ only those with t = 1 (mod p-1).
 module.
 ``strong_probable_primes`` runs Miller-Rabin over an array of odd
 candidates below ``MR_LIMIT`` = 2**50, keeping only the survivors of each
-base. Below 2**32 it multiplies exactly, x*y % n. Above, the float64 quotient
-q of x*y/n is off by at most 1: three roundings (of x*y, 1/n and their
-product) of relative error 2**-53 each move a quotient below 2**50 by less
-than 3/8. So x*y - q*n, exact in wrapping uint64 arithmetic, lies in
+base. Each product x*y mod n takes the float64 quotient q of x*y/n, off by
+at most 1: three roundings (of x*y, 1/n and their product) of relative
+error 2**-53 each move a quotient below 2**50 by less than 3/8. So x*y - q*n, exact in wrapping uint64 arithmetic, lies in
 [-n, 2n), and one signed remainder corrects it. Larger candidates take the
 scalar ``arith.is_prime``.
 ``scan_segments`` runs a sieve over a long range one segment at a time, so
@@ -30,7 +29,6 @@ import numpy as np
 
 INT64_MOD_LIMIT = 1 << 31  # residues below this multiply without int64 overflow
 MR_LIMIT = 1 << 50  # strong_probable_primes takes candidates below this
-_MR_EXACT = 1 << 32  # below this, x*y < 2**64 is exact in uint64
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -157,11 +155,9 @@ def all_subset_products(res, m: int) -> tuple[np.ndarray, np.ndarray]:
     return prod, size
 
 
-def _mulmod(x: np.ndarray, y: np.ndarray, n: np.ndarray, inv: np.ndarray | None) -> np.ndarray:
-    """x*y mod n for uint64 arrays x, y < n; ``inv`` is 1/n in float64, or None
-    when n < 2**32 and x*y is exact (the float quotient's bound: module docstring)."""
-    if inv is None:
-        return x * y % n
+def _mulmod(x: np.ndarray, y: np.ndarray, n: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """x*y mod n for uint64 arrays x, y < n; ``inv`` is 1/n in float64 (the
+    float quotient's bound: module docstring)."""
     q = np.multiply(x, y, dtype=np.float64)
     q *= inv
     r = x * y
@@ -192,7 +188,7 @@ def strong_probable_primes(n, bases) -> np.ndarray:
         if not alive.size:
             break
         m, e = n[alive], d[alive]
-        inv = None if m.max() < _MR_EXACT else 1.0 / m.astype(np.float64)
+        inv = 1.0 / m.astype(np.float64)
         b = np.uint64(a) % m
         # x = b**e mod m, right to left over the bits of e
         x = np.ones_like(m)
@@ -212,8 +208,7 @@ def strong_probable_primes(n, bases) -> np.ndarray:
             at = at[s[alive[at]] > i]
             if not at.size:
                 break
-            sub = None if inv is None else inv[at]
-            x[at] = _mulmod(x[at], x[at], m[at], sub)
+            x[at] = _mulmod(x[at], x[at], m[at], inv[at])
             hit = x[at] == top[at]
             ok[at[hit]] = True
             at = at[~hit]

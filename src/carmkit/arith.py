@@ -105,26 +105,34 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
+def _odd_part(m: int) -> tuple[int, int]:
+    """(d, s) with m = d * 2**s and d odd, for m >= 1."""
+    s = (m & -m).bit_length() - 1
+    return m >> s, s
+
+
+def _root_split(m: int, a: int, d: int, s: int) -> int:
+    """A proper factor of m from base a and the exponent d * 2**s: a itself if
+    it divides m, else gcd(x - 1, m) for a square root x != +-1 of 1 on the
+    chain a**d, a**(2d), ...; 1 if the chain gives none; 0 if
+    a**(d * 2**s) != 1 mod m. With d * 2**s = m - 1 this is Miller's test:
+    1 means m is a strong probable prime to base a."""
+    if m % a == 0:
+        return a
+    x = pow(a, d, m)
+    if x == 1:
+        return 1
+    for _ in range(s):
+        y = x * x % m
+        if y == 1:
+            return 1 if x == m - 1 else math.gcd(x - 1, m)
+        x = y
+    return 0
+
+
 def _miller_rabin(n: int, bases) -> bool:
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in bases:
-        a %= n
-        if a == 0:
-            continue
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    d, s = _odd_part(n - 1)
+    return all(a % n == 0 or _root_split(n, a, d, s) == 1 for a in bases)
 
 
 def _strong_lucas(n: int) -> bool:
@@ -139,15 +147,9 @@ def _strong_lucas(n: int) -> bool:
         if j == 0 and D % n != 0:
             return False  # proper factor found
         D = -(D + 2) if D > 0 else -(D - 2)
-        if abs(D) > 1_000_000:  # cannot happen for non-squares; guard anyway
-            return False
     P = 1
     Q = (1 - D) // 4
-    d = n + 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    d, s = _odd_part(n + 1)
     inv2 = (n + 1) // 2
     Dn = D % n
     U, V = 1, P

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -334,9 +335,7 @@ def _run_solve(cfg: argparse.Namespace) -> tuple[int, list[str]]:
         print("no qualifying subset", file=sys.stderr)
         return 1, []
     elements = [pool[i] for i in subset]
-    product = 1
-    for e in elements:
-        product *= e
+    product = math.prod(elements)
     if cfg.format == "json-lines":
         line = json.dumps(
             {

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .arith import Factorization, factorize, is_prime
+from .arith import _TRIAL_PRIMES, Factorization, _odd_part, _root_split, factorize, is_prime
 from .errors import CapacityError, DomainError, int_text
 
 ENUMERATION_CAP = 100_000_000
 CENSUS_MODULUS_CAP = 1_000_000
 DEFAULT_SEGMENT = 1 << 20  # even, so every segment starts odd
-SPLIT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+SPLIT_BASES = _TRIAL_PRIMES
 
 
 def korselt_check(n: int, f: Factorization) -> bool:
@@ -34,24 +34,6 @@ def korselt_check(n: int, f: Factorization) -> bool:
     if not f.is_squarefree:
         return False
     return all((n - 1) % (p - 1) == 0 for p in f.primes())
-
-
-def _root_split(m: int, a: int, d: int, s: int) -> int:
-    """A proper factor of m from base a and the exponent d * 2**s: a itself if
-    it divides m, else gcd(x - 1, m) for a square root x != +-1 of 1 on the
-    chain a**d, a**(2d), ...; 1 if the chain gives none; 0 if
-    a**(d * 2**s) != 1 mod m."""
-    if m % a == 0:
-        return a
-    x = pow(a, d, m)
-    if x == 1:
-        return 1
-    for _ in range(s):
-        y = x * x % m
-        if y == 1:
-            return 1 if x == m - 1 else math.gcd(x - 1, m)
-        x = y
-    return 0
 
 
 def carmichael_factors(n: int) -> Factorization | None:
@@ -69,10 +51,7 @@ def carmichael_factors(n: int) -> Factorization | None:
     """
     if n < 3 or n % 2 == 0:
         return None
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    d, s = _odd_part(n - 1)
     found: dict[int, int] = {}
     stack = [n]
     while stack:

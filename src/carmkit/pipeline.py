@@ -252,7 +252,7 @@ def _pool_grid(
     # a candidate p <= 53 may be a sieving prime itself: is_prime decides it
     top = _TRIAL_PRIMES[-1] - 1
     low = np.array(divs[: bisect_right(divs, top)], dtype=np.int64)
-    d_mods = [np.array([d % r for d in divs], dtype=np.int16) for r in _TRIAL_PRIMES]
+    d_mods = (np.array(divs, dtype=object) % np.array(_TRIAL_PRIMES, dtype=object)[:, None]).astype(np.int16)
     ML = M * L
     divs_int64 = np.array(divs, dtype=np.int64) if limit < MR_LIMIT else None
     for d_at, k_at in _candidates(divs, ks, limit):

@@ -283,8 +283,9 @@ def _find_dp(pool, modulus, target, min_size, max_size):
         )
     capped = max_size is None
     n_classes = (min_size if capped else max_size) + 1
-    pq = [(p, p**e) for p, e in factorize(modulus).pairs]
-    cells = (n + 1) * n_classes * math.prod(q - q // p for p, q in pq)  # phi(m) units
+    f = factorize(modulus)
+    pq = [(p, p**e) for p, e in f.pairs]
+    cells = (n + 1) * n_classes * euler_phi(f)
     if cells > DP_CELL_BOUND:
         raise CapacityError(
             f"DP table would need {cells} cells (> {DP_CELL_BOUND}); reduce the pool"
@@ -435,9 +436,7 @@ def assemble(subset, shared: AssemblySpec) -> CarmichaelCertificate:
     for p in primes:
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
-    n = 1
-    for p in primes:
-        n *= p
+    n = math.prod(primes)
     results = {
         "korselt": all((n - 1) % (p - 1) == 0 for p in primes),
         "residue_class": n % shared.M == shared.a % shared.M,

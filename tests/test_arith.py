@@ -140,10 +140,13 @@ def test_is_prime_large_against_sympy():
         assert not arith.is_prime(p + 8)
 
 
-def test_factorize_examples():
+def test_factorize_examples(monkeypatch):
     assert arith.factorize(1).pairs == ()
     assert arith.factorize(561).pairs == ((3, 1), (11, 1), (17, 1))
     assert arith.factorize(41040).pairs == ((2, 4), (3, 3), (5, 1), (19, 1))
+    # the square of a prime past trial division splits at its square root, with no rho
+    monkeypatch.setattr(arith, "RHO_BUDGET", 0)
+    assert arith.factorize(100003**2).pairs == ((100003, 2),)
 
 
 def test_factorize_reconstructs_up_to_1e5():

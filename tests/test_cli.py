@@ -67,6 +67,11 @@ def test_parse_args_rejects_unknown_flags():
          "--theta", "1.5", "--B", "0.4"],
         ["construct", "--modulus", "1", "--residue", "1", "--lambda", "1"],
         ["construct", "--modulus", "0", "--residue", "1", "--lambda", "120"],
+        ["verify", "0"],
+        ["census", "--limit", "0", "--modulus", "4"],
+        ["census", "--limit", "10000", "--modulus", "0"],
+        ["solve", "--pool", "pool.txt", "--modulus", "0", "--target", "1"],
+        ["solve", "--pool", "pool.txt", "--modulus", "120", "--target", "1", "--min-size", "0"],
     ):
         with pytest.raises(SystemExit) as ei:
             cli.parse_args(argv)
@@ -388,6 +393,30 @@ def test_cli_solve(tmp_path, capsys):
                              "--modulus", "120", "--target", "1")
     assert (code, out) == (3, "")
     assert "not coprime" in err
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["--format", "csv", "construct", "--modulus", "4", "--residue", "3", "--lambda", "630"],
+     ["# command=construct format=csv modulus=4 residue=3 mode=erdos lambda=630",
+      "1152271,43|127|211,erdos,0,630,4,3"]),
+    (["--format", "human", "census", "--limit", "100000", "--modulus", "3"],
+     ["# command=census format=human limit=100000 modulus=3",
+      "residue 1 mod 3: 13", "residue 2 mod 3: 1", "shared factor with 3: 2"]),
+    (["census", "--limit", "100000", "--modulus", "3"],
+     ['{"meta":{"command":"census","format":"json-lines","limit":100000,"modulus":3}}',
+      '{"residue":1,"count":13}', '{"residue":2,"count":1}', '{"residue":"other","count":2}']),
+    (["--format", "csv", "solve", "--pool", "pool.txt", "--modulus", "120", "--target", "1"],
+     ["# command=solve format=csv pool=pool.txt modulus=120 target=1 min_size=3",
+      "indices,elements", "1|3|4|5,11|31|41|61"]),
+    (["--format", "human", "solve", "--pool", "pool.txt", "--modulus", "120", "--target", "1"],
+     ["# command=solve format=human pool=pool.txt modulus=120 target=1 min_size=3",
+      "11 · 31 · 41 · 61 ≡ 1 (mod 120)"]),
+], ids=["construct-csv", "census-human", "census-json-other", "solve-csv", "solve-human"])
+def test_cli_formats_exact(argv, expected, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pool.txt").write_text("7\n11\n13\n31\n41\n61\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out.splitlines(), err) == (0, expected, "")
 
 
 def test_cli_capacity_exit_code(capsys):

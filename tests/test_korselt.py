@@ -114,7 +114,7 @@ def test_carmichael_factors_matches_factorize_below_1e7():
         assert korselt.carmichael_factors(n) == f, n
 
 
-def test_carmichael_factors_decides_like_factorize():
+def test_carmichael_factors_decides_like_factorize(monkeypatch):
     # odd n < 2e4: None only for a non-Carmichael n, and any factorization is exact
     for n in range(1, 20_001, 2):
         f = korselt.carmichael_factors(n)
@@ -124,6 +124,10 @@ def test_carmichael_factors_decides_like_factorize():
         else:
             assert f == arith.factorize(n) and korselt.korselt_check(n, f) == carmichael, n
     assert korselt.carmichael_factors(2) is None and korselt.carmichael_factors(561 * 2) is None
+    # with no bases, every composite part is left to factorize
+    monkeypatch.setattr(korselt, "SPLIT_BASES", ())
+    for n in BELOW_1E5:
+        assert korselt.carmichael_factors(n) == arith.factorize(n), n
 
 
 def test_carmichael_factors_strong_pseudoprime_to_bases_up_to_31():
