@@ -3,10 +3,12 @@
 The sieves and the unit-group DP, which has one table axis per prime power
 of its modulus, work on int64 arrays: callers keep values < 2**62 and moduli
 < ``INT64_MOD_LIMIT`` where products are formed. Both sieves touch only
-arithmetic progressions, each one strided slice: the lpf window marks the
-multiples of each prime and divides by each prime power on its multiples,
-and the Carmichael scan keeps, among the odd multiples v = p*t of each prime,
-only those with t = 1 (mod p-1).
+arithmetic progressions: the lpf window marks the multiples of each prime
+and divides by each prime power on its multiples, one strided slice each.
+The Carmichael scan keeps, among the odd multiples v = p*t of each prime,
+only those with t = 1 (mod p-1), and kills the odd multiples of p*p by
+stride; the primes with at most one such entry per segment run as one
+index batch, and the last Korselt test runs on the survivors only.
 ``all_subset_products`` is int64 below ``INT64_MOD_LIMIT`` and Python ints
 (object arrays) above. Other arbitrary-precision paths live outside this
 module.
@@ -79,27 +81,47 @@ def lpf_range(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
 def carmichael_segment(lo: int, hi: int, odd_primes: np.ndarray) -> np.ndarray:
     """Flags, per odd v in [lo, hi), v composite + squarefree + (p-1 | v-1 for all p | v).
 
-    The odd multiples v = p*t, t >= 3, of each prime p lose their flag except
-    the progression t = 1 (mod p-1), every (p-1)/2-th of them, which keeps it
-    unless p*p | v and has p divided out once. A survivor is composite iff
-    something was divided out, and what is left is 1 or one prime above
-    isqrt(hi - 1), checked last. ``lo`` must be odd; ``odd_primes`` must cover
-    odd primes <= isqrt(hi - 1).
+    Among the odd multiples v = p*t, t >= 3, of each prime p only the
+    progression t = 1 (mod p-1), every (p-1)/2-th of them, stays alive, and
+    p joins the product s of primes found in v there; the odd multiples of
+    p*p die. A prime whose progression step p(p-1)/2 is at least the n odd
+    entries has at most one progression entry, so all such primes run as one
+    batch. A survivor is composite iff s > 1, and v // s is 1 or one prime
+    above isqrt(hi - 1), checked last, on survivors only. ``lo`` must be odd;
+    ``odd_primes``, ascending, must cover odd primes <= isqrt(hi - 1).
     """
-    vals = np.arange(lo, hi, 2, dtype=np.int64)
-    rem = vals.copy()
-    alive = np.ones(vals.size, dtype=bool)
-    for p in odd_primes:
-        p = int(p)
-        t = max(3, -(-lo // p)) | 1  # first odd t >= 3 with p*t >= lo
-        # p*t - 1 = (p-1)*t + (t-1), so p-1 | v-1 iff t = 1 (mod p-1)
-        t1 = t + (1 - t) % (p - 1)
-        korselt = slice((p * t1 - lo) // 2, None, p * (p - 1) // 2)
-        keep = alive[korselt] & (rem[korselt] % (p * p) != 0)  # p*p | v is not squarefree
-        alive[(p * t - lo) // 2 :: p] = False
-        alive[korselt] = keep
-        rem[korselt] //= p
-    return (alive & (rem != vals) & ((vals - 1) % np.maximum(rem - 1, 1) == 0)).astype(np.uint8)
+    n = max(0, (hi - lo + 1) // 2)
+    alive = np.ones(n, dtype=bool)
+    s = np.ones(n, dtype=np.int64)
+    p = np.asarray(odd_primes, dtype=np.int64)
+    t = np.maximum(3, -(-lo // p)) | 1  # first odd t >= 3 with p*t >= lo
+    # p*t - 1 = (p-1)*t + (t-1), so p-1 | v-1 iff t = 1 (mod p-1)
+    first, korselt = (p * t - lo) // 2, (p * (t + (1 - t) % (p - 1)) - lo) // 2
+    split = int(np.searchsorted(p * (p - 1) // 2, n))
+    for q, f, k in zip(p[:split].tolist(), first[:split].tolist(), korselt[:split].tolist()):
+        step = q * (q - 1) // 2
+        keep = alive[k::step].copy()
+        alive[f::q] = False
+        alive[k::step] = keep
+        s[k::step] *= q
+        qq = q * q
+        alive[(qq * (-(-lo // qq) | 1) - lo) // 2 :: qq] = False  # p*p | v is not squarefree
+    # the batch: every odd multiple but the one progression entry dies
+    p, f, k = p[split:], first[split:], korselt[split:]
+    count = np.maximum(0, -(-(n - f) // p))
+    at = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    midx = np.repeat(f, count) + at * np.repeat(p, count)
+    alive[midx[midx != np.repeat(k, count)]] = False
+    hit = k < n
+    p, k = p[hit], k[hit]
+    alive[k[(lo + 2 * k) % (p * p) == 0]] = False
+    np.multiply.at(s, k, p)  # several batched primes can share one entry
+    i = np.flatnonzero(alive & (s != 1))
+    v = lo + 2 * i
+    r = v // s[i]
+    flags = np.zeros(n, dtype=np.uint8)
+    flags[i[(v - 1) % np.maximum(r - 1, 1) == 0]] = 1
+    return flags
 
 
 def unit_position(x, p: int, q: int):

@@ -132,7 +132,10 @@ def _root_split(m: int, a: int, d: int, s: int) -> int:
 
 def _miller_rabin(n: int, bases) -> bool:
     d, s = _odd_part(n - 1)
-    return all(a % n == 0 or _root_split(n, a, d, s) == 1 for a in bases)
+    for a in bases:
+        if a % n and _root_split(n, a, d, s) != 1:
+            return False
+    return True
 
 
 def _strong_lucas(n: int) -> bool:

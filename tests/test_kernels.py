@@ -153,6 +153,46 @@ def test_carmichael_segment_backends_agree(lo, hi):
     assert np.array_equal(out_np.astype(np.uint8), out_ref)
 
 
+def test_carmichael_segment_batched_primes_share_an_entry():
+    # 17586361 = 13 * 61 * 67 * 331: four primes, each with at most one
+    # progression entry in a 32-entry window, all on this one entry
+    lo, hi = 17_586_349, 17_586_413
+    odd_primes = K.sieve_primes(math.isqrt(hi - 1))[1:]
+    out = K.carmichael_segment(lo, hi, odd_primes)
+    assert np.array_equal(out, carmichael_segment_loops(lo, hi, odd_primes))
+    assert list(lo + 2 * np.flatnonzero(out)) == [17_586_361]
+
+
+def test_carmichael_segment_random_windows():
+    rng = random.Random(19)
+    for _ in range(200):
+        lo = rng.randrange(10**6, 10**8 - 512) | 1
+        hi = lo + 2 * rng.randint(4, 256)
+        odd_primes = K.sieve_primes(math.isqrt(hi - 1))[1:]
+        out = K.carmichael_segment(lo, hi, odd_primes)
+        assert np.array_equal(out, carmichael_segment_loops(lo, hi, odd_primes)), lo
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(3, 3 + 2**20), (3 + 94 * 2**20, 3 + 95 * 2**20), (3 + 95 * 2**20, 10**8)],
+    ids=["first", "last-full", "last-short"],
+)
+def test_carmichael_segment_at_the_cap(lo, hi):
+    # the segments of enumerate_carmichael(10**8), each with the cap's primes
+    odd_primes = K.sieve_primes(math.isqrt(10**8 - 1))[1:]
+    out = K.carmichael_segment(lo, hi, odd_primes)
+    assert out.dtype == np.uint8 and out.size == (hi - lo + 1) // 2
+    assert np.array_equal(out, carmichael_segment_loops(lo, hi, odd_primes))
+
+
+def test_carmichael_segment_empty_window():
+    odd_primes = K.sieve_primes(100)[1:]
+    for lo, hi in [(101, 101), (101, 99), (101, 3)]:
+        out = K.carmichael_segment(lo, hi, odd_primes)
+        assert out.dtype == np.uint8 and out.size == 0
+
+
 def test_dp_reach_backends_agree():
     # the kernel's table is the all-residue oracle's table on the units, each
     # unit at its position mod each prime power of m; m = 1, a prime, prime

@@ -88,6 +88,10 @@ def test_enumerate_count_at_1e6():
     assert len(korselt.enumerate_carmichael(10**6)) == 43
 
 
+def test_enumerate_count_at_the_cap():
+    assert len(korselt.enumerate_carmichael(korselt.ENUMERATION_CAP)) == 255  # OEIS A055553
+
+
 def test_enumerate_capacity():
     with pytest.raises(CapacityError):
         korselt.enumerate_carmichael(korselt.ENUMERATION_CAP + 1)
