@@ -13,12 +13,15 @@ index batch, and the last Korselt test runs on the survivors only.
 (object arrays) above. Other arbitrary-precision paths live outside this
 module.
 ``strong_probable_primes`` runs Miller-Rabin over an array of odd
-candidates below ``MR_LIMIT`` = 2**50, keeping only the survivors of each
-base. Each product x*y mod n takes the float64 quotient q of x*y/n, off by
-at most 1: three roundings (of x*y, 1/n and their product) of relative
-error 2**-53 each move a quotient below 2**50 by less than 3/8. So x*y - q*n, exact in wrapping uint64 arithmetic, lies in
-[-n, 2n), and one signed remainder corrects it. Larger candidates take the
-scalar ``arith.is_prime``.
+candidates below ``MR_LIMIT`` = 2**50: the first base on every candidate,
+the later bases as one stacked test over its survivors. Each power runs left
+to right in 3-bit exponent digits: per digit, three squarings and one
+multiply by an entry of a per-candidate table of b**0..b**7. Each product
+x*y mod n takes the float64 quotient q of x*y/n, off by at most 1: three
+roundings (of x*y, 1/n and their product) of relative error 2**-53 each move
+a quotient below 2**50 by less than 3/8. So x*y - q*n, exact in wrapping
+uint64 arithmetic, lies in [-n, 2n), and one signed remainder corrects it.
+Larger candidates take the scalar ``arith.is_prime``.
 ``scan_segments`` runs a sieve over a long range one segment at a time, so
 memory stays O(segment).
 """
@@ -189,13 +192,52 @@ def _mulmod(x: np.ndarray, y: np.ndarray, n: np.ndarray, inv: np.ndarray) -> np.
     return r.view(np.uint64)
 
 
+def _strong(n: np.ndarray, d: np.ndarray, s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Flags, per odd n = d * 2**s + 1 (uint64 arrays), n is a strong probable
+    prime to its own base ``a`` (a base = 0 mod n passes).
+
+    b**d mod n runs left to right in 3-bit digits of d, one shared schedule
+    from the top bit of d.max(): three squarings, then one multiply by the
+    digit's entry of the per-candidate table b**0, ..., b**7.
+    """
+    inv = 1.0 / n.astype(np.float64)
+    b = a % n
+    table = [np.ones_like(n), b]
+    for _ in range(6):
+        table.append(_mulmod(table[-1], b, n, inv))
+    table = np.stack(table)
+    cols = np.arange(n.size)
+    seven = np.uint64(7)
+    first = 3 * ((int(d.max()).bit_length() - 1) // 3)  # shift of the top digit
+    x = table[(d >> np.uint64(first)) & seven, cols]
+    for shift in range(first - 3, -1, -3):
+        for _ in range(3):
+            x = _mulmod(x, x, n, inv)
+        x = _mulmod(x, table[(d >> np.uint64(shift)) & seven, cols], n, inv)
+    top = n - np.uint64(1)
+    ok = (b == 0) | (x == 1) | (x == top)
+    # the squaring chain x**2, ..., x**(2**(s-1)) must reach n - 1
+    at = np.flatnonzero(~ok)
+    for i in range(1, int(s.max())):
+        at = at[s[at] > i]
+        if not at.size:
+            break
+        x[at] = _mulmod(x[at], x[at], n[at], inv[at])
+        hit = x[at] == top[at]
+        ok[at[hit]] = True
+        at = at[~hit]
+    return ok
+
+
 def strong_probable_primes(n, bases) -> np.ndarray:
     """Flags, per odd n in (53, 2**50) with no prime factor <= 53: n is a
     strong probable prime to every base in ``bases``, as arith._miller_rabin
     decides it (a base = 0 mod n passes).
 
-    Each base runs on the survivors of the ones before it, so a composite
-    costs about one base.
+    The first base runs on every candidate; the later ones run as one
+    stacked test over its survivors, one copy of them per base, so a
+    composite costs about one base and a prime pays for all of them in one
+    pass.
     """
     n = np.asarray(n, dtype=np.int64)
     if n.size and (n.min() <= 53 or n.max() >= MR_LIMIT or not np.all(n & 1)):
@@ -205,36 +247,15 @@ def strong_probable_primes(n, bases) -> np.ndarray:
     low = (n - one) & ~(n - one - one)  # the lowest set bit of n - 1, 2**s
     d = (n - one) // low  # n - 1 = d * 2**s, d odd
     s = np.frexp(low.astype(np.float64))[1] - 1  # exact: low = 0.5 * 2**(s+1)
-    alive = np.arange(n.size)
-    for a in bases:
-        if not alive.size:
-            break
-        m, e = n[alive], d[alive]
-        inv = 1.0 / m.astype(np.float64)
-        b = np.uint64(a) % m
-        # x = b**e mod m, right to left over the bits of e
-        x = np.ones_like(m)
-        sq = b
-        while True:
-            odd = (e & one).astype(bool)
-            x = np.where(odd, _mulmod(x, sq, m, inv), x)
-            e = e >> one
-            if not e.any():
-                break
-            sq = _mulmod(sq, sq, m, inv)
-        top = m - one
-        ok = (b == 0) | (x == one) | (x == top)
-        # the squaring chain x**2, ..., x**(2**(s-1)) must reach n - 1
-        at = np.flatnonzero(~ok)
-        for i in range(1, int(s[alive].max())):
-            at = at[s[alive[at]] > i]
-            if not at.size:
-                break
-            x[at] = _mulmod(x[at], x[at], m[at], inv[at])
-            hit = x[at] == top[at]
-            ok[at[hit]] = True
-            at = at[~hit]
-        alive = alive[ok]
     flags = np.zeros(n.size, dtype=bool)
+    if not n.size or not bases:
+        flags[:] = not bases
+        return flags
+    alive = np.flatnonzero(_strong(n, d, s, np.full(n.size, bases[0], dtype=np.uint64)))
+    r = len(bases) - 1
+    if r and alive.size:
+        later = np.repeat(np.array(bases[1:], dtype=np.uint64), alive.size)
+        stacked = (np.tile(v[alive], r) for v in (n, d, s))
+        alive = alive[_strong(*stacked, later).reshape(r, -1).all(axis=0)]
     flags[alive] = True
     return flags

@@ -34,10 +34,11 @@ DIVISOR_CAP = 2**17  # divisors one divisor walk may list
 K0_SCAN_CAP = 2**21  # candidates d*k+1 one find_k0 scan may test
 _GRID_BLOCK = 2**16  # candidates the pool rule sieves at once
 # sieved candidates below which a block runs is_prime one at a time. On a
-# 2-vCPU x86 box, numpy 2.4, 78 candidates below 2**20 (an erdos Lambda =
-# 720720 block) took 0.51 ms batched and 0.32 ms scalar, 256 of them 0.67 and
-# 1.07 ms; 256 candidates in (10**6, 10**12) took 4.4 ms batched and 3.4 ms
-# scalar, 512 of them 5.1 and 7.4 ms
+# 2-vCPU x86 box, numpy 2.4, best of 100: 128 candidates below 2**20 took
+# 1.2 ms batched and 0.85 ms scalar, 256 of them 1.4 and 1.7 ms; 128
+# candidates in (10**6, 10**12) took 3.0 and 2.8 ms, 256 of them 3.1 and
+# 5.1 ms. A bound of 128 won three of six alternating agp run_s pairs
+# against 256
 _BATCH_MIN = 256
 
 

@@ -282,6 +282,39 @@ def test_strong_probable_primes_on_A014233():
         assert K.strong_probable_primes([n], arith.mr_band(n)[1]).tolist() == [arith.is_prime(n)]
 
 
+@pytest.mark.parametrize("bases", [arith._TRIAL_PRIMES[:9], (2, 3, 1373653 * 7), (2,),
+                                   arith._MR_TABLE[0][1]])
+def test_strong_probable_primes_mixed_batch_matches_miller_rabin(bases):
+    # Fermat numbers (d = 1: the squaring chain is the whole test; 2**32 + 1 =
+    # 641 * 6700417 is a strong pseudoprime to base 2), A014233 values that die
+    # at different later bases, and primes, in one call; the later bases run
+    # stacked over the first base's survivors, and 1373653 * 7 = 0 mod 1373653
+    fermat = [257, 65537, 4294967297]
+    mixed = fermat + [1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                      1000003, 999999999989, 562949953421231]
+    for cands in (fermat, mixed):
+        assert _sieved(cands) == cands
+        flags = K.strong_probable_primes(np.array(cands), bases)
+        assert flags.tolist() == [arith._miller_rabin(n, bases) for n in cands]
+
+
+def test_strong_probable_primes_mixed_lengths_by_band_match_is_prime():
+    # exponents of every length up to 2**50 in one call, one call per band as
+    # pipeline._batch_primes makes them
+    rng = random.Random(50)
+    cands = []
+    while len(cands) < 4000:
+        cands += _sieved([int(math.exp(rng.uniform(math.log(55), math.log(K.MR_LIMIT)))) | 1])
+    by_band = {}
+    for n in cands:
+        by_band.setdefault(arith.mr_band(n)[1], []).append(n)
+    assert len(by_band) == 3
+    for bases, band in by_band.items():
+        flags = K.strong_probable_primes(np.array(band), bases)
+        assert flags.tolist() == [arith.is_prime(n) for n in band]
+        assert 0 < flags.sum() < len(band)
+
+
 @pytest.mark.parametrize("top", [1 << 32, 1 << 50])
 def test_mulmod_just_below_limits_matches_python_ints(top):
     rng = random.Random(top)
