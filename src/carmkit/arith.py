@@ -293,12 +293,10 @@ def crt(congruences) -> tuple[int, int]:
         r2, m2 = items[idx]
         g = math.gcd(acc_m, m2)
         if (r2 - acc_r) % g != 0:
-            # locate an original offending pair for the error message
-            for i in range(idx):
-                gi = math.gcd(items[i][1], m2)
-                if (r2 - items[i][0]) % gi != 0:
-                    raise CrtConflictError(items[i], items[idx])
-            raise CrtConflictError((acc_r, acc_m), items[idx])
+            # congruences that agree pairwise are jointly solvable, and the first
+            # idx are: an original pair with items[idx] conflicts, and names it
+            raise next(CrtConflictError(items[i], items[idx]) for i in range(idx)
+                       if (r2 - items[i][0]) % math.gcd(items[i][1], m2) != 0)
         l = acc_m // g * m2
         t = (r2 - acc_r) // g * pow(acc_m // g, -1, m2 // g) % (m2 // g)
         acc_r = (acc_r + acc_m * t) % l
@@ -342,14 +340,6 @@ def carmichael_lambda(f: Factorization) -> int:
             local = p ** (e - 1) * (p - 1)
         out = math.lcm(out, local)
     return out
-
-
-def divisors(f: Factorization) -> list[int]:
-    """All positive divisors, ascending."""
-    out = [1]
-    for p, e in f:
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
 
 
 def nth_root_floor(n: int, k: int) -> int:

@@ -293,7 +293,7 @@ def _run_construct(cfg: argparse.Namespace) -> tuple[int, list[str]]:
         L, spec = params.Lambda, AssemblySpec("erdos", params.Lambda, 0, M, a)
     else:
         state = run_agp_construction(params)
-        pool = [p for p, _ in state.pool]
+        pool = state.pool
         L, spec = state.L, AssemblySpec("agp", state.k0, state.L, M, a)
     if len(pool) < 3:
         print(f"pool of {len(pool)} primes is too small", file=sys.stderr)

@@ -73,13 +73,6 @@ def carmichael_factors(n: int) -> Factorization | None:
     return Factorization.of(sorted(found.items()))
 
 
-def fermat_witness(n: int, a: int) -> bool:
-    """True iff a**n == a (mod n)."""
-    if n < 2:
-        raise DomainError(f"fermat_witness requires n >= 2, got {n}")
-    return pow(a, n, n) == a % n
-
-
 def enumerate_carmichael(limit: int, *, threads: int = 1) -> list[tuple[int, Factorization]]:
     """All Carmichael numbers below ``limit``, ascending, with factorizations."""
     if limit > ENUMERATION_CAP:

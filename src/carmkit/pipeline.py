@@ -117,7 +117,7 @@ class ConstructionState:
     L_fact: Factorization
     k0: int
     k0_count: int
-    pool: tuple[tuple[int, int], ...]
+    pool: tuple[int, ...]
 
 
 def _as_fraction(B) -> Fraction:
@@ -236,8 +236,8 @@ def _batch_primes(p: np.ndarray, M: int, a: int, require_residue: bool) -> np.nd
 def _pool_grid(
     divs: list[int], ks: np.ndarray, limit: int, L: int, L_fact: Factorization, M: int, a: int,
     filters: PoolFilters,
-) -> Iterator[tuple[int, int, int]]:
-    """The pool rule over the candidate grid: the triples (k, p, d), k in ks
+) -> Iterator[tuple[int, int]]:
+    """The pool rule over the candidate grid: the pairs (k, p), k in ks
     (ascending) and d in divs with d <= limit // k, where p = d*k + 1 is prime,
     coprime to M*L and passes the enabled filters, k-major and in the order
     of divs.
@@ -270,12 +270,11 @@ def _pool_grid(
             known[live] = True
         live = np.sort(np.concatenate((np.flatnonzero(small), live)))
         for i, k, sure in zip(d_at[live].tolist(), run[k_at[live]].tolist(), known[live].tolist()):
-            d = divs[i]
-            p = d * k + 1
+            p = divs[i] * k + 1
             if ((sure or ((not filters.require_residue or p % M == a % M) and is_prime(p)))
                     and ML % p != 0
                     and (not filters.require_qr or is_qr_mod_L(p, L_fact))):
-                yield k, p, d
+                yield k, p
 
 
 def find_k0(
@@ -304,7 +303,7 @@ def find_k0(
     # the grid is k-major, so each k's primes come in one run; only a strictly
     # larger count displaces the best, so the smallest k of a tie wins
     best = (0, 0)
-    for k, run in groupby(k for k, _, _ in _pool_grid(divs, ks, x - 1, L, L_fact, M, a, filters)):
+    for k, run in groupby(k for k, _ in _pool_grid(divs, ks, x - 1, L, L_fact, M, a, filters)):
         count = sum(1 for _ in run)
         if count > best[1]:
             best = (k, count)
@@ -315,16 +314,13 @@ def find_k0(
 
 def build_pool(
     L_fact: Factorization, x: int, k0: int, params: ConstructionParams
-) -> list[tuple[int, int]]:
-    """The first caps.pool_cap pairs (p, d) of the k0 pool, ascending in p.
-
-    gcd((p-1)/d, L) = gcd(k0, L) = 1 holds for every entry when k0 comes
-    from find_k0, which only picks k0 coprime to L.
-    """
+) -> list[int]:
+    """The k0 pool, ascending and cut at caps.pool_cap: the primes
+    p = d*k0 + 1 <= x over d | L that pass the pool rule."""
     divs = _divisors_upto(L_fact, (x - 1) // k0)
     grid = _pool_grid(divs, np.array([k0]), x - 1, L_fact.value(), L_fact, params.M, params.a,
                       params.filters)
-    return [(p, d) for _, p, d in grid][: params.caps.pool_cap]
+    return [p for _, p in grid][: params.caps.pool_cap]
 
 
 def erdos_pool(Lambda: int, M: int, pool_cap: int | None = None) -> list[int]:
@@ -338,7 +334,7 @@ def erdos_pool(Lambda: int, M: int, pool_cap: int | None = None) -> list[int]:
     f = factorize(Lambda)
     grid = _pool_grid(_divisors_upto(f, Lambda), np.array([1]), Lambda, Lambda, f, M, 0,
                       PoolFilters())
-    return [p for _, p, _ in grid][:pool_cap]
+    return [p for _, p in grid][:pool_cap]
 
 
 def run_agp_construction(params: ConstructionParams) -> ConstructionState:

@@ -55,7 +55,6 @@ from .korselt import korselt_check
 MITM_LIMIT = 40
 ENUMERATE_LIMIT = 24
 DP_CELL_BOUND = 200_000_000
-EXACT_GROUP_CAP = 36  # largest unit group exact_identity_threshold searches
 _MASK_BLOCK = 1 << 14  # masks one numpy step looks up (MITM) or forms (exhaustive scan)
 _SPURIOUS_BITS = 12  # a search mod a block s of m allows 2**n <= s * 2**12
 _RECHECK_BUDGET = 1 << 16  # matches mod s re-checked before a search goes mod m instead
@@ -137,42 +136,6 @@ def compute_invariants(
         omega_L=omega_L,
         degenerate=lam < 2,
     )
-
-
-def exact_identity_threshold(modulus: int) -> int:
-    """Exact smallest N such that every N non-identity units contain an
-    identity-product subset (exhaustive search; unit groups of order <=
-    EXACT_GROUP_CAP)."""
-    if modulus < 1:
-        raise DomainError(f"modulus must be >= 1, got {modulus}")
-    order = euler_phi(factorize(modulus))
-    if order > EXACT_GROUP_CAP:
-        raise CapacityError(f"group order {order} exceeds exhaustive cap {EXACT_GROUP_CAP}")
-    units = [a for a in range(1, modulus) if math.gcd(a, modulus) == 1] or [0]
-    elems = [u for u in units if u != 1 % modulus]
-    if not elems:
-        return 1
-    memo: dict[tuple[frozenset, int], int] = {}
-
-    def extend(products: frozenset, start: int) -> int:
-        key = (products, start)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        most = 0
-        for idx in range(start, len(elems)):
-            g = elems[idx]
-            new = products | {p * g % modulus for p in products} | {g}
-            if 1 % modulus in new:
-                continue
-            if len(new) >= order - 1:  # any further element would close a product to 1
-                most = max(most, 1)
-                continue
-            most = max(most, 1 + extend(frozenset(new), idx))
-        memo[key] = most
-        return most
-
-    return extend(frozenset(), 0) + 1
 
 
 def derive_target(L: int, M: int, a: int) -> tuple[int, int]:

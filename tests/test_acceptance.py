@@ -52,11 +52,11 @@ def test_criterion_2_enumerator_oracle_agreement():
         if not korselt.korselt_check(n, arith.factorize(n)):
             failures += 1
         if n <= 20_000:
-            if not all(korselt.fermat_witness(n, a) for a in range(2, n)):
+            if not all(pow(a, n, n) == a for a in range(2, n)):
                 failures += 1
         else:
             bases = [rng.randrange(2, n - 1) for _ in range(64)]
-            if not all(korselt.fermat_witness(n, a) for a in bases):
+            if not all(pow(a, n, n) == a for a in bases):
                 failures += 1
     elapsed = time.perf_counter() - t0
     report(
@@ -180,7 +180,7 @@ def test_criterion_7_agp_toy_pipeline():
     k0, count = pipeline.find_k0(arith.factorize(15), 40, 1, 1, PoolFilters(), 10)
     pool = [
         p
-        for d in arith.divisors(arith.factorize(15))
+        for d in (1, 3, 5, 15)  # the divisors of L = 15
         if (p := d * k0 + 1) <= 40 and arith.is_prime(p) and 15 % p != 0
     ]
     report(

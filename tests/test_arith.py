@@ -140,6 +140,14 @@ def test_is_prime_large_against_sympy():
         assert not arith.is_prime(p + 8)
 
 
+def test_strong_lucas_rejects_squares_and_found_factors():
+    # the Lucas half of is_prime above 2**64: a square has no D with (D/n) = -1,
+    # so it is rejected first; (5/35) = 0 with 35 > 5 shows the factor 5
+    assert not arith._strong_lucas(4294967311**2)  # the square of a prime
+    assert not arith._strong_lucas(35)
+    assert arith._strong_lucas(2**89 - 1)
+
+
 def test_factorize_examples(monkeypatch):
     assert arith.factorize(1).pairs == ()
     assert arith.factorize(561).pairs == ((3, 1), (11, 1), (17, 1))
@@ -304,12 +312,6 @@ def test_carmichael_lambda_exponent_and_minimality():
             for p in arith.factorize(lam).primes():
                 d = lam // p
                 assert any(pow(a, d, m) != 1 % m for a in units), (m, d)
-
-
-def test_divisors():
-    assert arith.divisors(arith.factorize(1)) == [1]
-    assert arith.divisors(arith.factorize(120)) == [
-        1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 24, 30, 40, 60, 120]
 
 
 def test_nth_root_floor():

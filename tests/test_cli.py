@@ -399,6 +399,11 @@ def test_cli_solve(tmp_path, capsys):
     (["--format", "csv", "construct", "--modulus", "4", "--residue", "3", "--lambda", "630"],
      ["# command=construct format=csv modulus=4 residue=3 mode=erdos lambda=630",
       "1152271,43|127|211,erdos,0,630,4,3"]),
+    (["--format", "csv", "construct", "--modulus", "4", "--residue", "3", "--lambda", "630",
+      "--pool-cap", "12", "--max-factors", "3"],
+     ["# command=construct format=csv modulus=4 residue=3 mode=erdos lambda=630 pool_cap=12"
+      " max_factors=3",
+      "1152271,43|127|211,erdos,0,630,4,3"]),
     (["--format", "human", "census", "--limit", "100000", "--modulus", "3"],
      ["# command=census format=human limit=100000 modulus=3",
       "residue 1 mod 3: 13", "residue 2 mod 3: 1", "shared factor with 3: 2"]),
@@ -411,7 +416,7 @@ def test_cli_solve(tmp_path, capsys):
     (["--format", "human", "solve", "--pool", "pool.txt", "--modulus", "120", "--target", "1"],
      ["# command=solve format=human pool=pool.txt modulus=120 target=1 min_size=3",
       "11 · 31 · 41 · 61 ≡ 1 (mod 120)"]),
-], ids=["construct-csv", "census-human", "census-json-other", "solve-csv", "solve-human"])
+], ids=["construct-csv", "construct-csv-caps", "census-human", "census-json-other", "solve-csv", "solve-human"])
 def test_cli_formats_exact(argv, expected, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pool.txt").write_text("7\n11\n13\n31\n41\n61\n", encoding="utf-8")
@@ -436,6 +441,14 @@ def test_cli_capacity_exit_code(capsys):
     code, out, err = run_cli(capsys, "construct", "--mode", "agp", "--modulus", "1",
                              "--residue", "0", "--y", "60", "--theta", "1.5", "--B", "2/5")
     assert (code, out) == (3, "") and cap in err
+    # at B = 1/100000 the faithful x, (M*L)**200000, passes X_MAX_BITS: it needs --x-cap
+    agp = ["construct", "--mode", "agp", "--modulus", "1", "--residue", "0", "--y", "5",
+           "--theta", "1.5", "--B", "1/100000"]
+    code, out, err = run_cli(capsys, *agp)
+    assert (code, out) == (3, "")
+    assert err == "error: faithful x is oversized and no caps.x_cap was provided\n"
+    code, _, err = run_cli(capsys, *agp, "--x-cap", "1000")
+    assert (code, err) == (1, "pool of 2 primes is too small\n")
 
 
 def test_cli_big_numbers_are_named_by_size(capsys):

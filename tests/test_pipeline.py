@@ -23,7 +23,7 @@ def oracle_is_prime(n):
 def brute_pool(L, k, x, M, a, require_qr=False, require_residue=False):
     Lf = arith.factorize(L)
     out = []
-    for d in arith.divisors(Lf):
+    for d in pytest.importorskip("sympy").divisors(L):
         p = d * k + 1
         if p > x or not oracle_is_prime(p) or (M * L) % p == 0:
             continue
@@ -31,7 +31,7 @@ def brute_pool(L, k, x, M, a, require_qr=False, require_residue=False):
             continue
         if require_residue and p % M != a % M:
             continue
-        out.append((p, d))
+        out.append(p)
     return sorted(out)
 
 
@@ -210,7 +210,7 @@ def test_pool_rule_beyond_2_64():
         assert pool == brute_pool(L, got[0], x, M, a, qr, M > 1)
         assert len(pool) == got[1]
         if M == 1:
-            assert pool[0][0] < 2**64 < pool[-1][0]
+            assert pool[0] < 2**64 < pool[-1]
 
 
 def _spy_kernel(monkeypatch):
@@ -260,7 +260,7 @@ def test_pool_rule_at_the_kernel_limit_matches_brute(monkeypatch, x):
                                 filters=PoolFilters())
     pool = pipeline.build_pool(arith.factorize(L), x, got[0], params)
     # the pool reaches the third band, above 55245642489451
-    assert pool == brute_pool(L, got[0], x, 1, 0) and pool[-1][0] > arith._MR_TABLE[1][0]
+    assert pool == brute_pool(L, got[0], x, 1, 0) and pool[-1] > arith._MR_TABLE[1][0]
     if x - 1 < 2**50:
         assert set(calls) == {bases for _, bases in arith._MR_TABLE[:3]}
     else:
@@ -280,7 +280,7 @@ def test_agp_matches_independent_references():
                 caps=Caps(x_cap=int(x_cap), k_cap=int(k_cap), pool_cap=int(cap)),
                 filters=PoolFilters(filters == "1", filters == "1"))
             state = pipeline.run_agp_construction(params)
-            assert (state.k0, state.L, [p for p, _ in state.pool]) == (
+            assert (state.k0, state.L, list(state.pool)) == (
                 ref["k0"], ref["L"], ref["pool"]), (key, a)
 
 
@@ -296,7 +296,7 @@ def test_pool_rule_keeps_sieving_primes():
         got = pipeline.find_k0(Lf, x, M, 1, PoolFilters(), 53)
         assert got == brute_find_k0(L, x, M, 1, 53)
     for q in arith._TRIAL_PRIMES:
-        assert pipeline.build_pool(arith.factorize(1), q, q - 1, _params()) == [(q, 1)]
+        assert pipeline.build_pool(arith.factorize(1), q, q - 1, _params()) == [q]
 
 
 def _params(pool_cap=None, **filters):
@@ -306,22 +306,23 @@ def _params(pool_cap=None, **filters):
 
 def test_build_pool_pinned():
     f15 = arith.factorize(15)
-    assert pipeline.build_pool(f15, 40, 2, _params()) == [(7, 3), (11, 5), (31, 15)]
-    assert pipeline.build_pool(f15, 40, 2, _params(require_qr=True)) == [(31, 15)]
-    assert pipeline.build_pool(f15, 40, 2, _params(pool_cap=2)) == [(7, 3), (11, 5)]
+    # p = d*k0+1 over d | 15 at k0 = 2: d = 3, 5, 15
+    assert pipeline.build_pool(f15, 40, 2, _params()) == [7, 11, 31]
+    assert pipeline.build_pool(f15, 40, 2, _params(require_qr=True)) == [31]
+    assert pipeline.build_pool(f15, 40, 2, _params(pool_cap=2)) == [7, 11]
     # p = d*k0+1 over d | 3 gives only p = 2 here; 4 is not prime
-    assert pipeline.build_pool(arith.factorize(3), 10, 1, _params()) == [(2, 1)]
+    assert pipeline.build_pool(arith.factorize(3), 10, 1, _params()) == [2]
 
 
 def test_build_pool_invariants():
     params = _params()
     L, x, k0 = 15, 40, 2
-    for p, d in pipeline.build_pool(arith.factorize(L), x, k0, params):
+    pool = pipeline.build_pool(arith.factorize(L), x, k0, params)
+    assert pool == sorted(set(pool))
+    for p in pool:
         assert arith.is_prime(p)
-        assert L % d == 0
-        assert p == d * k0 + 1
+        assert (p - 1) % k0 == 0 and L % ((p - 1) // k0) == 0
         assert p <= x and (params.M * L) % p != 0
-        assert math.gcd((p - 1) // d, L) == 1
 
 
 def test_build_pool_matches_brute():
@@ -400,13 +401,13 @@ def test_erdos_pool_is_agp_pool_at_k1():
     for lam in lambdas:
         f = arith.factorize(lam)
         for M in (1, 4, rng.randrange(2, 100)):
-            oracle = [d + 1 for d in arith.divisors(f)
+            oracle = [d + 1 for d in pytest.importorskip("sympy").divisors(lam)
                       if oracle_is_prime(d + 1) and (lam * M) % (d + 1) != 0]
             for cap in (None, 5):
                 params = ConstructionParams(M=M, a=1, mode="agp", y=5, theta=1.5,
                                             B=Fraction(2, 5), caps=Caps(pool_cap=cap),
                                             filters=PoolFilters())
-                agp = [p for p, _ in pipeline.build_pool(f, lam + 1, 1, params)]
+                agp = pipeline.build_pool(f, lam + 1, 1, params)
                 assert pipeline.erdos_pool(lam, M, cap) == agp == oracle[:cap], (lam, M, cap)
 
 
@@ -432,7 +433,7 @@ def test_run_agp_construction_toy():
     assert st.x_faithful == pipeline.compute_x(1, 77, Fraction(2, 5))
     # over L = 77, x = 40: k = 2 yields {3, 23}, the best count
     assert st.k0 == 2 and st.k0_count == 2
-    assert st.pool == ((3, 1), (23, 11))
+    assert st.pool == (3, 23)
 
 
 def test_run_agp_records_faithful_x_size():

