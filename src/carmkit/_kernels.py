@@ -54,8 +54,9 @@ def scan_segments(scan, start: int, stop: int, size: int, threads: int = 1) -> l
     Each piece holds ``size`` integers, the last one possibly fewer.
     """
     segs = [(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
-    if threads <= 1:
-        # a one-worker pool made small census runs 15-100% slower; stay inline
+    if threads <= 1 or len(segs) <= 1:
+        # a pool for one worker made small census runs 15-100% slower, and one
+        # segment has nothing to spread; stay inline
         return [scan(lo, hi) for lo, hi in segs]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda seg: scan(*seg), segs))

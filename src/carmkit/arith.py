@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: primality, factoring, CRT, Jacobi symbols, group orders.
+"""Exact integer arithmetic: primality, factoring, Jacobi symbols, group orders.
 
 Everything operates on Python ints (arbitrary precision). Primality is
 deterministic below 2**64 and strong-probable-prime + strong Lucas above;
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CrtConflictError, DomainError, UnfactoredError, int_text
+from .errors import DomainError, UnfactoredError, int_text
 
 # (bound, bases): Miller-Rabin over the bases is exact for n < bound, and each
 # bound but 2**64 is itself a composite strong pseudoprime to its own set.
@@ -274,34 +274,6 @@ def factorize(n: int) -> Factorization:
             raise UnfactoredError(m, RHO_BUDGET)
         stack.extend((got, m // got))
     return Factorization.of(sorted(found.items()))
-
-
-def crt(congruences) -> tuple[int, int]:
-    """Solve a simultaneous congruence system; moduli need not be coprime.
-
-    Returns (residue, modulus) with modulus = lcm of the inputs, or raises
-    CrtConflictError naming an incompatible pair.
-    """
-    items = [(int(r), int(m)) for r, m in congruences]
-    if not items:
-        raise DomainError("crt requires at least one congruence")
-    for r, m in items:
-        if m < 1:
-            raise DomainError(f"modulus must be >= 1, got {m}")
-    acc_r, acc_m = items[0][0] % items[0][1], items[0][1]
-    for idx in range(1, len(items)):
-        r2, m2 = items[idx]
-        g = math.gcd(acc_m, m2)
-        if (r2 - acc_r) % g != 0:
-            # congruences that agree pairwise are jointly solvable, and the first
-            # idx are: an original pair with items[idx] conflicts, and names it
-            raise next(CrtConflictError(items[i], items[idx]) for i in range(idx)
-                       if (r2 - items[i][0]) % math.gcd(items[i][1], m2) != 0)
-        l = acc_m // g * m2
-        t = (r2 - acc_r) // g * pow(acc_m // g, -1, m2 // g) % (m2 // g)
-        acc_r = (acc_r + acc_m * t) % l
-        acc_m = l
-    return acc_r, acc_m
 
 
 def jacobi(a: int, n: int) -> int:

@@ -16,6 +16,7 @@ arith.factorize, whose exhaustion is exit 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -55,7 +56,9 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"must be a rational, got {text!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing leaves it unchanged, so calls share it."""
     # global flags, accepted before or after the subcommand; unset ones stay
     # out of the namespace, so a subcommand never overwrites an earlier value
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
@@ -357,13 +360,18 @@ def _run_solve(cfg: argparse.Namespace) -> tuple[int, list[str]]:
     return 0, [line]
 
 
-def run(cfg: argparse.Namespace) -> int:
+def main(argv=None) -> int:
+    cfg = parse_args(sys.argv[1:] if argv is None else argv)
     driver = {
         "verify": _run_verify,
         "census": _run_census,
         "construct": _run_construct,
         "solve": _run_solve,
     }[cfg.subcommand]
+    # arguments keep Python's digit limit; output such as an agp L of 10**5
+    # digits does not, and the limit comes back for the caller's next parse
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         code, lines = driver(cfg)
         out = "\n".join(_header_lines(cfg) + lines) + "\n"
@@ -373,19 +381,6 @@ def run(cfg: argparse.Namespace) -> int:
     except (OSError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if not cfg.output:
-        sys.stdout.write(out)
-    return code
-
-
-def main(argv=None) -> int:
-    cfg = parse_args(sys.argv[1:] if argv is None else argv)
-    # arguments keep Python's digit limit; output such as an agp L of 10**5
-    # digits does not, and the limit comes back for the caller's next parse
-    digit_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return run(cfg)
     except (AssertionError, AssemblyError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 4
@@ -394,6 +389,9 @@ def main(argv=None) -> int:
         return 3
     finally:
         sys.set_int_max_str_digits(digit_limit)
+    if not cfg.output:
+        sys.stdout.write(out)
+    return code
 
 
 if __name__ == "__main__":

@@ -29,17 +29,6 @@ class UnfactoredError(CarmkitError):
             f"unfactored cofactor {int_text(cofactor)}")
 
 
-class CrtConflictError(DomainError):
-    """An inconsistent congruence system; names the offending pair."""
-
-    def __init__(self, pair_a: tuple[int, int], pair_b: tuple[int, int]):
-        self.pair_a = pair_a
-        self.pair_b = pair_b
-        (ra, ma), (rb, mb) = (map(int_text, pair) for pair in (pair_a, pair_b))
-        super().__init__(
-            f"incompatible congruences: x ≡ {ra} (mod {ma}) vs x ≡ {rb} (mod {mb})")
-
-
 class ConstructionError(CarmkitError):
     """A construction stage produced nothing usable."""
 

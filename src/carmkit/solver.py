@@ -36,7 +36,6 @@ from .arith import (
     PROBABLE_PRIME_THRESHOLD,
     TRIAL_BOUND,
     carmichael_lambda,
-    crt,
     euler_phi,
     factorize,
     is_prime,
@@ -44,7 +43,6 @@ from .arith import (
 from .errors import (
     AssemblyError,
     CapacityError,
-    CrtConflictError,
     DomainError,
     InfeasibleError,
     OrderingError,
@@ -140,15 +138,21 @@ def compute_invariants(
 
 def derive_target(L: int, M: int, a: int) -> tuple[int, int]:
     """(h, modulus): the h with h = 1 mod L and h = a mod M, a unit mod
-    modulus = lcm(L, M), as arith.crt returns it."""
+    modulus = lcm(L, M). It exists exactly when g = gcd(L, M) divides a - 1
+    (else InfeasibleError): h = 1 + L*t, t = ((a - 1)/g) * (L/g)**-1 mod M/g."""
     if math.gcd(a, M) != 1:
         raise DomainError(f"residue {a} is not coprime to {M}")
-    try:
-        return crt([(1, L), (a, M)])
-    except CrtConflictError as e:
+    for m in (L, M):
+        if m < 1:
+            raise DomainError(f"modulus must be >= 1, got {m}")
+    g = math.gcd(L, M)
+    if (a - 1) % g:
         L_text = int_text(L)
         raise InfeasibleError(f"no element is 1 mod {L_text} and {a} mod {M}: "
-                              f"gcd({L_text}, {M}) does not divide {a - 1}") from e
+                              f"gcd({L_text}, {M}) does not divide {a - 1}")
+    modulus = L // g * M
+    t = (a - 1) // g * pow(L // g, -1, M // g)
+    return (1 + L * t) % modulus, modulus
 
 
 def _validate_pool(pool, modulus: int, min_size: int) -> list[int]:
@@ -401,7 +405,7 @@ def assemble(subset, shared: AssemblySpec) -> CarmichaelCertificate:
             raise DomainError(f"{p} is not prime")
     n = math.prod(primes)
     results = {
-        "korselt": all((n - 1) % (p - 1) == 0 for p in primes),
+        "korselt": korselt_check(n, Factorization.of((p, 1) for p in primes)),
         "residue_class": n % shared.M == shared.a % shared.M,
     }
     if shared.mode == "agp":
@@ -411,7 +415,7 @@ def assemble(subset, shared: AssemblySpec) -> CarmichaelCertificate:
     for name, ok in results.items():
         if not ok:
             raise AssemblyError(name, f"n = {n}")
-    cert = CarmichaelCertificate(
+    return CarmichaelCertificate(
         n=n,
         prime_factors=tuple(primes),
         mode=shared.mode,
@@ -427,7 +431,3 @@ def assemble(subset, shared: AssemblySpec) -> CarmichaelCertificate:
             "probabilistic_primality_used": any(p >= PROBABLE_PRIME_THRESHOLD for p in primes),
         },
     )
-    # belt and braces: the korselt module must agree with its own entry point
-    if not korselt_check(n, Factorization.of((p, 1) for p in primes)):
-        raise AssemblyError("korselt", "re-verification disagreed")
-    return cert

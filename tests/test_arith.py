@@ -11,7 +11,7 @@ import pytest
 
 from carmkit import arith
 from carmkit.arith import Factorization
-from carmkit.errors import CrtConflictError, DomainError, UnfactoredError
+from carmkit.errors import DomainError, UnfactoredError
 
 
 def sieve_set(limit):
@@ -216,41 +216,6 @@ def test_factorization_type_invariants():
     f = Factorization.of([(2, 2), (7, 1)])
     assert f.value() == 28 and f.primes() == (2, 7) and f.big_omega == 3
     assert not f.is_squarefree
-
-
-def test_crt_examples():
-    assert arith.crt([(1, 3), (2, 5)]) == (7, 15)
-    assert arith.crt([(0, 1)]) == (0, 1)
-    # oracle: scan residues mod 60
-    expect = next(x for x in range(60) if x % 15 == 1 and x % 4 == 3)
-    assert arith.crt([(1, 15), (3, 4)]) == (expect, 60) == (31, 60)
-
-
-def test_crt_satisfies_inputs_and_idempotent():
-    rng = random.Random(5)
-    for _ in range(200):
-        moduli = [rng.randrange(1, 300) for _ in range(rng.randrange(1, 5))]
-        x0 = rng.randrange(0, 10**6)
-        system = [(x0 % m, m) for m in moduli]
-        r, m = arith.crt(system)
-        assert all(r % mi == ri for ri, mi in system)
-        assert m == math.lcm(*moduli)
-        assert arith.crt([(r, m)]) == (r, m)
-
-
-def test_crt_conflict_names_pair():
-    with pytest.raises(CrtConflictError) as ei:
-        arith.crt([(1, 4), (3, 8)])
-    assert ei.value.pair_a == (1, 4) and ei.value.pair_b == (3, 8)
-    with pytest.raises(CrtConflictError):
-        arith.crt([(0, 6), (1, 10), (5, 15)])  # pairwise failure appears late
-
-
-def test_crt_domain():
-    with pytest.raises(DomainError):
-        arith.crt([])
-    with pytest.raises(DomainError):
-        arith.crt([(1, 0)])
 
 
 def test_jacobi_examples():

@@ -566,6 +566,21 @@ def test_cli_global_flags_after_subcommand(tmp_path, capsys):
     assert ei.value.code == 2
 
 
+def test_cli_calls_share_a_parser_and_nothing_else(tmp_path, capsys):
+    # one parser serves every call in the process; each call's header and
+    # destination follow its own global flags, before or after the subcommand
+    assert cli.build_parser() is cli.build_parser()
+    out_path = tmp_path / "out.txt"
+    code, out, _ = run_cli(capsys, "--format", "csv", "--output", str(out_path), "verify", "561")
+    assert (code, out) == (0, "")
+    assert out_path.read_text(encoding="utf-8").splitlines()[0] == "# command=verify format=csv n=561"
+    code, out, _ = run_cli(capsys, "verify", "561", "--format", "human")
+    assert code == 0 and out.splitlines()[0] == "# command=verify format=human n=561"
+    code, out, _ = run_cli(capsys, "verify", "561")
+    assert code == 0
+    assert out.splitlines()[0] == '{"meta":{"command":"verify","format":"json-lines","n":"561"}}'
+
+
 def test_cli_construct_erdos_never_claims_absence_wrongly(monkeypatch, capsys):
     # a search that misses an existing subset must not be reported as proved empty
     monkeypatch.setattr(cli, "subset_product_find", lambda *args, **kwargs: None)

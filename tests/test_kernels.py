@@ -193,6 +193,14 @@ def test_carmichael_segment_empty_window():
         assert out.dtype == np.uint8 and out.size == 0
 
 
+def test_scan_segments_runs_one_segment_inline(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool started for one segment")
+
+    monkeypatch.setattr(K.concurrent.futures, "ThreadPoolExecutor", no_pool)
+    assert K.scan_segments(lambda lo, hi: (lo, hi), 3, 100, 1 << 10, threads=4) == [(3, 100)]
+
+
 def test_dp_reach_backends_agree():
     # the kernel's table is the all-residue oracle's table on the units, each
     # unit at its position mod each prime power of m; m = 1, a prime, prime

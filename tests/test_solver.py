@@ -74,6 +74,30 @@ def test_derive_target():
         solver.derive_target(120, 4, 3)  # gcd(120, 4) = 4 does not divide 3 - 1
     with pytest.raises(DomainError):
         solver.derive_target(15, 4, 2)
+    assert solver.derive_target(6, 4, 3) == (7, 12)  # compatible, gcd(6, 4) = 2 divides 2
+    assert solver.derive_target(15, 1, 0) == (1, 15)
+    assert solver.derive_target(1, 7, 3) == (3, 7)
+    assert solver.derive_target(1, 1, 5) == (0, 1)
+    for L, M, a in ((0, 4, 3), (15, 0, 1), (-3, 5, 2)):
+        with pytest.raises(DomainError, match="^modulus must be >= 1"):
+            solver.derive_target(L, M, a)
+    # small L, M: the one h below lcm(L, M), or none, by brute search
+    rng = random.Random(22)
+    for _ in range(1500):
+        L, M = rng.randrange(1, 60), rng.randrange(1, 60)
+        a = rng.randrange(-5, 3 * M + 5)
+        if math.gcd(a, M) != 1:
+            with pytest.raises(DomainError):
+                solver.derive_target(L, M, a)
+            continue
+        modulus = math.lcm(L, M)
+        hits = [h for h in range(modulus) if h % L == 1 % L and h % M == a % M]
+        if not hits:
+            with pytest.raises(InfeasibleError):
+                solver.derive_target(L, M, a)
+            continue
+        assert solver.derive_target(L, M, a) == (hits[0], modulus), (L, M, a)
+        assert len(hits) == 1 and math.gcd(hits[0], modulus) == 1
 
 
 def test_messages_name_big_numbers_by_size():
