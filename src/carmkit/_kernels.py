@@ -5,10 +5,11 @@ of its modulus, work on int64 arrays: callers keep values < 2**62 and moduli
 < ``INT64_MOD_LIMIT`` where products are formed. Both sieves touch only
 arithmetic progressions: the lpf window marks the multiples of each prime
 and divides by each prime power on its multiples, one strided slice each.
-The Carmichael scan keeps, among the odd multiples v = p*t of each prime,
-only those with t = 1 (mod p-1), and kills the odd multiples of p*p by
-stride; the primes with at most one such entry per segment run as one
-index batch, and the last Korselt test runs on the survivors only.
+The Carmichael scan multiplies each prime p into a per-entry product s on
+the odd multiples v = p*t with t = 1 (mod p-1), one strided slice per
+prime, the primes with at most one such entry per segment in one batch. v
+is Carmichael iff s == v: each prime p of a Carmichael v lies below
+sqrt(v), since p - 1 | v/p - 1.
 ``all_subset_products`` is int64 below ``INT64_MOD_LIMIT`` and Python ints
 (object arrays) above. Other arbitrary-precision paths live outside this
 module.
@@ -85,46 +86,33 @@ def lpf_range(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
 def carmichael_segment(lo: int, hi: int, odd_primes: np.ndarray) -> np.ndarray:
     """Flags, per odd v in [lo, hi), v composite + squarefree + (p-1 | v-1 for all p | v).
 
-    Among the odd multiples v = p*t, t >= 3, of each prime p only the
-    progression t = 1 (mod p-1), every (p-1)/2-th of them, stays alive, and
-    p joins the product s of primes found in v there; the odd multiples of
-    p*p die. A prime whose progression step p(p-1)/2 is at least the n odd
-    entries has at most one progression entry, so all such primes run as one
-    batch. A survivor is composite iff s > 1, and v // s is 1 or one prime
-    above isqrt(hi - 1), checked last, on survivors only. ``lo`` must be odd;
-    ``odd_primes``, ascending, must cover odd primes <= isqrt(hi - 1).
+    Each prime p multiplies itself into the product s of the entries v = p*t,
+    t >= 3 odd, with t = 1 (mod p-1): every (p-1)/2-th odd multiple, those
+    where p passes Korselt's criterion. v is Carmichael iff s == v. Every p |
+    v of a Carmichael v has p - 1 | v/p - 1, so v/p >= p, and v squarefree
+    makes p < sqrt(v): s then holds every prime of v. Conversely s == v makes
+    v squarefree, with p - 1 | v - 1 at each p | v, and composite, as each p
+    lies below v. s | v, so it never overflows. A prime whose step p(p-1)/2
+    is at least the n odd entries has at most one entry, so all such primes
+    fold in at once. ``lo`` must be odd and at least 3; ``odd_primes`` must
+    ascend and cover the odd primes <= isqrt(hi - 1).
     """
     n = max(0, (hi - lo + 1) // 2)
-    alive = np.ones(n, dtype=bool)
     s = np.ones(n, dtype=np.int64)
     p = np.asarray(odd_primes, dtype=np.int64)
     t = np.maximum(3, -(-lo // p)) | 1  # first odd t >= 3 with p*t >= lo
     # p*t - 1 = (p-1)*t + (t-1), so p-1 | v-1 iff t = 1 (mod p-1)
-    first, korselt = (p * t - lo) // 2, (p * (t + (1 - t) % (p - 1)) - lo) // 2
-    split = int(np.searchsorted(p * (p - 1) // 2, n))
-    for q, f, k in zip(p[:split].tolist(), first[:split].tolist(), korselt[:split].tolist()):
-        step = q * (q - 1) // 2
-        keep = alive[k::step].copy()
-        alive[f::q] = False
-        alive[k::step] = keep
-        s[k::step] *= q
-        qq = q * q
-        alive[(qq * (-(-lo // qq) | 1) - lo) // 2 :: qq] = False  # p*p | v is not squarefree
-    # the batch: every odd multiple but the one progression entry dies
-    p, f, k = p[split:], first[split:], korselt[split:]
-    count = np.maximum(0, -(-(n - f) // p))
-    at = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    midx = np.repeat(f, count) + at * np.repeat(p, count)
-    alive[midx[midx != np.repeat(k, count)]] = False
-    hit = k < n
-    p, k = p[hit], k[hit]
-    alive[k[(lo + 2 * k) % (p * p) == 0]] = False
-    np.multiply.at(s, k, p)  # several batched primes can share one entry
-    i = np.flatnonzero(alive & (s != 1))
-    v = lo + 2 * i
-    r = v // s[i]
+    k, step = (p * (t + (1 - t) % (p - 1)) - lo) // 2, p * (p - 1) // 2
+    split = int(np.searchsorted(step, n))
+    for q, j, d in zip(p[:split].tolist(), k[:split].tolist(), step[:split].tolist()):
+        s[j::d] *= q
+    hit = k[split:] < n
+    np.multiply.at(s, k[split:][hit], p[split:][hit])  # several can share one entry
+    # v is formed only where s >= lo, as s == v needs: a second n-entry array
+    # per segment costs more in page faults than the whole strided loop
+    i = np.flatnonzero(s >= lo)
     flags = np.zeros(n, dtype=np.uint8)
-    flags[i[(v - 1) % np.maximum(r - 1, 1) == 0]] = 1
+    flags[i[s[i] == lo + 2 * i]] = 1
     return flags
 
 

@@ -425,8 +425,11 @@ def test_cli_formats_exact(argv, expected, tmp_path, monkeypatch, capsys):
 
 
 def test_cli_capacity_exit_code(capsys):
-    code, _, err = run_cli(capsys, "census", "--limit", str(10**9), "--modulus", "4")
-    assert code == 3 and "error" in err
+    # refused before any sieving
+    code, out, err = run_cli(capsys, "census", "--limit", str(korselt.ENUMERATION_CAP + 1),
+                             "--modulus", "4")
+    assert (code, out) == (3, "")
+    assert f"enumeration cap {korselt.ENUMERATION_CAP}" in err
     # checked before the per-class table is built
     code, out, err = run_cli(capsys, "census", "--limit", "1000", "--modulus", "2000000")
     assert (code, out) == (3, "")

@@ -186,6 +186,38 @@ def test_carmichael_segment_at_the_cap(lo, hi):
     assert np.array_equal(out, carmichael_segment_loops(lo, hi, odd_primes))
 
 
+def test_carmichael_segment_small_starts_and_widths():
+    # v is flagged iff the product s of the primes p | v with p - 1 | v - 1
+    # equals v: a prime (v = 3 at lo = 3 among them) has s = 1, and a prime
+    # square or cube p**e has s = p
+    odd_primes = K.sieve_primes(math.isqrt(2064))[1:]
+    ref = carmichael_segment_loops(3, 2065, odd_primes)  # v at entry (v - 3) // 2
+    assert list(3 + 2 * np.flatnonzero(ref)) == [561, 1105, 1729]
+    # every odd start below 2000 lands somewhere inside each small prime's progression
+    for lo in range(3, 2000, 2):
+        for width in range(2, 65, 2):
+            out = K.carmichael_segment(lo, lo + width, odd_primes)
+            i = (lo - 3) // 2
+            assert np.array_equal(out, ref[i : i + width // 2]), (lo, width)
+
+
+@pytest.mark.parametrize(
+    "v,carmichael",
+    [(3**7, False), (43**3, False), (97**2, False), (2153**3, False), (99991**2, False),
+     (99991, False), (9_999_109_081, True)],
+    ids=["3^7", "43^3", "97^2", "2153^3", "99991^2", "prime-99991", "largest-below-1e10"],
+)
+def test_carmichael_segment_prime_powers_and_large_windows(v, carmichael):
+    # 2**12-wide windows around v, with the primes enumerate_carmichael(10**10)
+    # sieves; 9999109081 = 13 * 19 * 61 * 73 * 9091, the largest Carmichael
+    # number below 10**10, has the largest s = v of the enumeration
+    odd_primes = K.sieve_primes(math.isqrt(10**10 - 1))[1:]
+    lo, hi = v - 2**11, v + 2**11
+    out = K.carmichael_segment(lo, hi, odd_primes)
+    assert np.array_equal(out, carmichael_segment_loops(lo, hi, odd_primes))
+    assert out[(v - lo) // 2] == carmichael
+
+
 def test_carmichael_segment_empty_window():
     odd_primes = K.sieve_primes(100)[1:]
     for lo, hi in [(101, 101), (101, 99), (101, 3)]:
