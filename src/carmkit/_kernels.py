@@ -2,14 +2,16 @@
 
 The sieves and the unit-group DP, which has one table axis per prime power
 of its modulus, work on int64 arrays: callers keep values < 2**62 and moduli
-< ``INT64_MOD_LIMIT`` where products are formed. Both sieves touch only
-arithmetic progressions: the lpf window marks the multiples of each prime
-and divides by each prime power on its multiples, one strided slice each.
-The Carmichael scan multiplies each prime p into a per-entry product s on
-the odd multiples v = p*t with t = 1 (mod p-1), one strided slice per
-prime, the primes with at most one such entry per segment in one batch. v
-is Carmichael iff s == v: each prime p of a Carmichael v lies below
-sqrt(v), since p - 1 | v/p - 1.
+< ``INT64_MOD_LIMIT`` where products are formed. The sieves touch only
+arithmetic progressions, one strided slice each: ``prime_flags`` strikes the
+multiples of each base prime over a window, and ``sieve_primes`` is its
+window from 0; ``smooth_part`` multiplies each prime p into the multiples of
+each power of p, so an entry n holds the part of n made of those primes,
+with no division. The Carmichael scan multiplies each prime p into a
+per-entry product s on the odd multiples v = p*t with t = 1 (mod p-1), one
+strided slice per prime, the primes with at most one such entry per segment
+in one batch. v is Carmichael iff s == v: each prime p of a Carmichael v
+lies below sqrt(v), since p - 1 | v/p - 1.
 ``all_subset_products`` is int64 below ``INT64_MOD_LIMIT`` and Python ints
 (object arrays) above. Other arbitrary-precision paths live outside this
 module.
@@ -30,6 +32,7 @@ memory stays O(segment).
 from __future__ import annotations
 
 import concurrent.futures
+import math
 
 import numpy as np
 
@@ -37,16 +40,41 @@ INT64_MOD_LIMIT = 1 << 31  # residues below this multiply without int64 overflow
 MR_LIMIT = 1 << 50  # strong_probable_primes takes candidates below this
 
 
+def prime_flags(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
+    """Flags, per n in [lo, hi), lo >= 0: n is prime (sieve of Eratosthenes).
+
+    Each base prime p strikes its multiples from max(p*p, lo) on, one strided
+    slice each, so p itself stays flagged. ``base_primes`` must cover all
+    primes <= isqrt(hi - 1).
+    """
+    flags = np.ones(max(0, hi - lo), dtype=bool)
+    flags[: max(0, 2 - lo)] = False  # 0 and 1
+    for p in base_primes.tolist():
+        flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return flags
+
+
 def sieve_primes(limit: int) -> np.ndarray:
-    """Primes <= limit as an int64 array (plain sieve of Eratosthenes)."""
+    """Primes <= limit as an int64 array: the window [0, limit] of ``prime_flags``."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    flags = prime_flags(0, limit + 1, sieve_primes(math.isqrt(limit)))
+    return np.flatnonzero(flags).astype(np.int64)
+
+
+def smooth_part(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+    """Per n in [lo, hi), lo >= 1: s[n] = prod p**e || n over ``primes``.
+
+    Each power p**k < hi multiplies p into its own multiples, one strided
+    slice each, so no entry is divided. s divides n, so it never overflows.
+    """
+    s = np.ones(max(0, hi - lo), dtype=np.int64)
+    for p in primes.tolist():
+        pk = p
+        while pk < hi:
+            s[-lo % pk :: pk] *= p
+            pk *= p
+    return s
 
 
 def scan_segments(scan, start: int, stop: int, size: int, threads: int = 1) -> list:
@@ -65,6 +93,9 @@ def scan_segments(scan, start: int, stop: int, size: int, threads: int = 1) -> l
 
 def lpf_range(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     """Largest prime factor for each integer in [lo, hi], lo >= 1; lpf(1) = 1.
+
+    No library code calls it; it is kept because the benchmark's tracer
+    looks it up by name.
 
     Each prime p, ascending, marks its multiples (the slice from -lo % p, step
     p), and each power p**k <= hi divides one p out of its own multiples; what

@@ -3,6 +3,12 @@
 Finds primes q in the window [ceil(y**theta / ln y), floor(y**theta)] whose
 shifted value q-1 is y-smooth and which satisfy the congruence
 q = -1 (mod 4*phi(M)), plus the windowed smooth-prime counting function.
+
+Each window flags its primes, keeps those in the residue class, and keeps a
+prime q iff (q-1) // s <= v, s the part of q-1 made of the primes up to
+min(v, isqrt(stop - 1)). The cofactor (q-1) / s is exact to compare: it is 1
+or one prime above isqrt(stop - 1) when v reaches that root, and 1 or a
+product of primes above v when it does not.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from .arith import euler_phi, factorize
 from .errors import CapacityError, DomainError
 
 SIEVE_CAPACITY = 100_000_000
-WINDOW_SEGMENT = 1 << 21  # integers per lpf window
+WINDOW_SEGMENT = 1 << 21  # integers per sieve window
 
 
 def _smooth_primes(start: int, stop: int, d: int, b: int, v: int) -> np.ndarray:
@@ -24,16 +30,20 @@ def _smooth_primes(start: int, stop: int, d: int, b: int, v: int) -> np.ndarray:
 
     Sieved in windows of WINDOW_SEGMENT integers, so memory stays O(segment).
     """
-    start = max(start, 2)  # q - 1 >= 1, where lpf_range is defined
-    if start >= stop:
+    start = max(start, 2)
+    # exact: a q < stop <= d has q = b (mod d) iff q = b mod d
+    r, d = b % d, min(d, stop)
+    if start >= stop or r >= stop:
         return np.empty(0, dtype=np.int64)
     base = _kernels.sieve_primes(math.isqrt(stop - 1))
+    small = base[: np.searchsorted(base, v, side="right")]  # p <= min(v, isqrt(stop - 1))
 
     def scan(lo, hi):
-        # P(q-1) sits one slot before P(q), also at a window's first q
-        table = _kernels.lpf_range(lo - 1, hi - 1, base)
-        q = np.arange(lo, hi, dtype=np.int64)
-        return q[(table[1:] == q) & (table[:-1] <= v) & (q % d == b % d)]
+        q = lo + np.flatnonzero(_kernels.prime_flags(lo, hi, base))
+        q = q[q % d == r]
+        # P(q-1) <= v iff the cofactor (q-1) // s <= v (module docstring)
+        s = _kernels.smooth_part(lo - 1, hi - 1, small)
+        return q[(q - 1) // s[q - lo] <= v]
 
     return np.concatenate(_kernels.scan_segments(scan, start, stop, WINDOW_SEGMENT))
 

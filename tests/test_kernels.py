@@ -48,6 +48,23 @@ def lpf_range_loops(lo, hi, base_primes):
     return np.array(lpf, dtype=np.int64)
 
 
+def prime_flags_loops(lo, hi):
+    return np.array([n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+                     for n in range(lo, hi)], dtype=bool)
+
+
+def smooth_part_loops(lo, hi, primes):
+    out = []
+    for n in range(lo, hi):
+        s, r = 1, n
+        for p in (int(p) for p in primes):
+            while r % p == 0:
+                r //= p
+                s *= p
+        out.append(s)
+    return np.array(out, dtype=np.int64)
+
+
 def carmichael_segment_loops(lo, hi, odd_primes):
     n = (hi - lo + 1) // 2
     rem = [lo + 2 * i for i in range(n)]
@@ -126,10 +143,10 @@ def all_products_loops(res, m):
 
 
 def test_sieve_primes_matches_trial_division():
-    primes = list(K.sieve_primes(500))
-    for n in range(2, 501):
-        is_p = all(n % d for d in range(2, n))
-        assert (n in primes) == is_p
+    # sieve_primes is prime_flags from 0, with the base primes of its own root
+    for limit in (0, 1, 2, 3, 4, 48, 49, 500, 10**4):
+        want = [n for n in range(limit + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+        assert K.sieve_primes(limit).tolist() == [n for n in want if n >= 2], limit
 
 
 @pytest.mark.parametrize(
@@ -143,6 +160,26 @@ def test_lpf_backends_agree_and_match_brute(lo, hi):
     assert np.array_equal(out_np, out_ref)
     for i, n in enumerate(range(lo, hi + 1)):
         assert out_np[i] == brute_lpf(n), n
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(0, 2000), (1, 2000), (2, 2), (2, 3000), (3**13 - 1500, 3**13 + 1500),
+     (2**21 - 1500, 2**21 + 1500), (2**20 - 700, 2**20 + 1), (2**26 - 300, 2**26 + 300),
+     (9967**2 - 500, 9967**2 + 500), (9973**2 - 800, 9973**2 + 800)],
+)
+def test_prime_flags_and_smooth_part_match_loops(lo, hi):
+    # around 3**13 and powers of 2, and around p**2 for p near sqrt(hi); every
+    # subset of the base primes up to isqrt(hi - 1) that _smooth_primes passes
+    base = K.sieve_primes(math.isqrt(max(hi - 1, 0)))
+    flags = K.prime_flags(lo, hi, base)
+    assert flags.dtype == bool and np.array_equal(flags, prime_flags_loops(lo, hi))
+    if lo < 1:
+        return
+    for k in sorted({0, 1, 2, 5, len(base) // 2, len(base)}):
+        out = K.smooth_part(lo, hi, base[:k])
+        assert out.dtype == np.int64
+        assert np.array_equal(out, smooth_part_loops(lo, hi, base[:k])), (lo, hi, k)
 
 
 @pytest.mark.parametrize("lo,hi", [(3, 20001), (1_000_001, 1_100_001), (99_000_001, 99_100_001)])

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -73,6 +74,42 @@ def test_count_smooth_primes_brute():
 
     for z, v, d, b in [(50, 5, 3, 1), (200, 7, 4, 3), (300, 300, 1, 0), (100, 2, 2, 1)]:
         assert sieve.count_smooth_primes(z, v, d, b) == brute(z, v, d, b)
+
+
+def brute_smooth(start, stop, v, d, b):
+    return [q for q in range(max(start, 2), stop)
+            if brute_is_prime(q) and q % d == b % d and brute_lpf(q - 1) <= v]
+
+
+def test_count_smooth_primes_huge_moduli():
+    # the class is taken in Python before any array: q < stop <= d has
+    # q = b (mod d) iff q = b mod d, and b mod d >= stop leaves nothing
+    for d in (2**63, 2**64 + 3, 10**30):
+        for b in (3, 97, 7 + 5 * d, 13 - d, -1, 10**40, 2**63 - 1):
+            for z, v in ((100, 5), (100, 100), (2, 1), (98, 3)):
+                want = len(brute_smooth(2, z, v, d, b))
+                assert sieve.count_smooth_primes(z, v, d, b) == want, (z, v, d, b)
+    assert sieve.count_smooth_primes(100, 5, 2**63, 3) == 1  # q = 3
+
+
+def test_smooth_primes_seeded_sweep(monkeypatch):
+    # 360 draws over every branch of the smoothness test: v up to isqrt(stop),
+    # between it and stop, at or past stop, v in {0, 1} and v = 10**20; starts
+    # 0, 1, 2 and inside the range; residues below 0 and at or past d
+    monkeypatch.setattr(sieve, "WINDOW_SEGMENT", 37)
+    rng = random.Random(24)
+    for i in range(360):
+        stop = rng.choice((rng.randrange(0, 60), rng.randrange(60, 4000)))
+        root = math.isqrt(max(stop - 1, 0))
+        v = (rng.randrange(0, root + 1), rng.randrange(root, stop + 1), stop + rng.randrange(3),
+             rng.randrange(2), 10**20)[i % 5]
+        start = (0, 1, 2, rng.randrange(0, stop + 2))[i // 5 % 4]
+        d = rng.choice((1, 2, rng.randrange(1, 40), rng.randrange(1, 2 * stop + 2)))
+        b = rng.choice((rng.randrange(d), -rng.randrange(1, 3 * d + 1), rng.randrange(d, 4 * d)))
+        want = brute_smooth(start, stop, v, d, b)
+        assert sieve._smooth_primes(start, stop, d, b, v).tolist() == want, (start, stop, v, d, b)
+        if start <= 2:
+            assert sieve.count_smooth_primes(stop, v, d, b) == len(want), (stop, v, d, b)
 
 
 def test_smooth_windows_across_segment_edges(monkeypatch):
