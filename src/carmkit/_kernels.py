@@ -1,8 +1,9 @@
 """Hot numeric kernels, vectorized with numpy, and the segment driver.
 
-The sieves and the unit-group DP, which has one table axis per prime power
-of its modulus, work on int64 arrays: callers keep values < 2**62 and moduli
-< ``INT64_MOD_LIMIT`` where products are formed. The sieves touch only
+The sieves and the unit-group DP work on int64 arrays: callers keep values
+< 2**62 and moduli < ``INT64_MOD_LIMIT`` where products are formed. The DP
+table has one axis per prime power of its modulus and holds each cell's size
+classes as the bits of uint8 bytes. The sieves touch only
 arithmetic progressions, one strided slice each: ``prime_flags`` strikes the
 multiples of each base prime over a window, and ``sieve_primes`` is its
 window from 0; ``smooth_part`` multiplies each prime p into the multiples of
@@ -160,23 +161,29 @@ def dp_reach(inv, pq, n_classes: int, capped: bool) -> np.ndarray:
 
     The CRT splits (Z/m)^x into the unit groups mod each prime power q = p**e
     of m, and ``pq`` lists their (p, q): the table has one axis of phi(q)
-    unit positions per q. Item i is the unit whose inverse mod m is
-    ``inv[i]``; layer i holds the products reachable from 1 with the first i
-    items, gathered from layer i-1 by one permutation per axis. Class c
-    counts chosen items, with the top class saturating when ``capped``.
+    unit positions per q, then one axis of ceil(n_classes / 8) bytes. Item i
+    is the unit whose inverse mod m is ``inv[i]``; layer i holds the products
+    reachable from 1 with the first i items, gathered from layer i-1 by one
+    permutation per unit axis. Class c counts chosen items and is bit c % 8
+    of byte c // 8, so taking an item shifts a cell's bits up by one, bit 7
+    carrying into the next byte; the top class keeps its bit when ``capped``
+    and drops it otherwise, and no bit past the top class is ever set.
     """
     units = [np.flatnonzero(np.arange(q) % p) for p, q in pq]
-    reach = np.zeros((len(inv) + 1, n_classes, *(u.shape[0] for u in units)), dtype=bool)
-    reach.flat[0] = True  # layer 0, class 0, the unit 1
+    n_bytes, top = -(-n_classes // 8), n_classes - 1
+    reach = np.zeros((len(inv) + 1, *(u.shape[0] for u in units), n_bytes), dtype=np.uint8)
+    reach.flat[0] = 1  # layer 0, the unit 1, class 0
     for i, v in enumerate(inv):
         cur, nxt = reach[i], reach[i + 1]
-        src = cur if capped else cur[:-1]  # the top class moves only when capped
-        for axis, ((p, q), u) in enumerate(zip(pq, units), start=1):
-            src = np.take(src, unit_position(u * (v % q), p, q), axis=axis)  # cur[c, t * v]
-        nxt[0] = cur[0]
-        np.logical_or(cur[1:], src[: n_classes - 1], out=nxt[1:])
+        src = cur
+        for axis, ((p, q), u) in enumerate(zip(pq, units)):
+            src = np.take(src, unit_position(u * (v % q), p, q), axis=axis)  # cur[t * v]
+        np.left_shift(src, 1, out=nxt)
+        nxt[..., 1:] |= src[..., :-1] >> 7
         if capped:
-            nxt[-1] |= src[-1]
+            nxt[..., -1] |= src[..., -1] & (1 << top % 8)
+        nxt[..., -1] &= (2 << top % 8) - 1  # the bits past the top class
+        nxt |= cur
     return reach
 
 
@@ -184,7 +191,8 @@ def all_subset_products(res, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(product mod m, popcount) for every subset mask of the residues ``res``.
 
     Entry ``mask`` covers the items whose bits are set in it. Products are
-    int64 for m < INT64_MOD_LIMIT and Python ints (object dtype) otherwise.
+    int64 for m < INT64_MOD_LIMIT, each doubling reduced in place as
+    x - x // m * m, and Python ints (object dtype) otherwise, reduced by %.
     """
     dtype = np.int64 if m < INT64_MOD_LIMIT else object
     res = np.array(res, dtype=dtype)
@@ -195,7 +203,11 @@ def all_subset_products(res, m: int) -> tuple[np.ndarray, np.ndarray]:
     prod[0] = 1 % m
     for i in range(n):
         half = 1 << i
-        prod[half : 2 * half] = prod[:half] * res[i] % m
+        out = np.multiply(prod[:half], res[i], out=prod[half : 2 * half])
+        if dtype is object:
+            out %= m
+        else:  # x % m for x >= 0, and faster than int64 %
+            out -= out // m * m
         size[half : 2 * half] = size[:half] + 1
     return prod, size
 

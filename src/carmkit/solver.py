@@ -5,7 +5,10 @@ elements, a layered DP over the unit group (Z/m)^x with witness reconstruction
 beyond that, and a full 2**n scan as the exhaustive oracle for small pools.
 Meet-in-the-middle sorts one half's subsets as (product, size, mask) keys and
 binary-searches them for each mask of the other half, in mask order, for any
-modulus.
+modulus. The other half's masks go in blocks of 2**8 masks, then each block
+as long as all before it, up to _MASK_BLOCK: its products are formed per
+block from one table of its low bits' products and one scalar for the high
+bits, so a search whose first hit comes early forms few of them.
 
 The search modulus. Meet-in-the-middle and the scan form their products mod
 a search modulus s (see _search_modulus): s = m below 2**31; above, the block
@@ -17,8 +20,9 @@ goes mod m instead.
 
 Every pool element is a unit and the DP starts from 1, so the DP table
 covers the phi(m) units only, with one axis of phi(q) positions per prime
-power q of m, as the CRT splits the unit group. A found subset is certified
-by independent re-checks before a certificate is emitted.
+power q of m, as the CRT splits the unit group; each cell holds its size
+classes as bits. A found subset is certified by independent re-checks before
+a certificate is emitted.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .korselt import korselt_check
 MITM_LIMIT = 40
 ENUMERATE_LIMIT = 24
 DP_CELL_BOUND = 200_000_000
-_MASK_BLOCK = 1 << 14  # masks one numpy step looks up (MITM) or forms (exhaustive scan)
+_MASK_BLOCK = 1 << 14  # the longest block of left masks (MITM), the masks one scan step forms
 _SPURIOUS_BITS = 12  # a search mod a block s of m allows 2**n <= s * 2**12
 _RECHECK_BUDGET = 1 << 16  # matches mod s re-checked before a search goes mod m instead
 
@@ -197,6 +201,17 @@ def _product(elems, mask: int, m: int) -> int:
     return math.prod(e for i, e in enumerate(elems) if mask >> i & 1) % m
 
 
+def _left_blocks(total: int):
+    """The [start, end) blocks of left masks below ``total`` the MITM scan
+    takes in turn: 2**8 masks, then each block as long as all before it, up
+    to _MASK_BLOCK. Each block is aligned to its length, so none crosses a
+    multiple of _MASK_BLOCK."""
+    start, end = 0, min(total, 1 << 8)
+    while start < total:
+        yield start, end
+        start, end = end, min(total, end + min(end, _MASK_BLOCK))
+
+
 def _find_mitm(pool, modulus, s, target, min_size, max_size):
     """First left mask (in mask order) with a right partner, and for it the
     right mask of least size, then least mask, that completes the target,
@@ -210,14 +225,23 @@ def _find_mitm(pool, modulus, s, target, min_size, max_size):
     # right half: one key per mask ordering (product, size, mask); the keys are
     # distinct and, for int64 products (< 2**31, nb <= 20), below 2**56
     w = nb + 1
-    rp, rs = _kernels.all_subset_products([e % s for e in right], s)
-    table = np.sort((rp * w + rs) << nb | np.arange(1 << nb))
-    # left half: the product each left mask needs from the right
+    table, rs = _kernels.all_subset_products([e % s for e in right], s)
+    table *= w  # in place: the keys take no more memory than the products
+    table += rs
+    table <<= nb
+    table |= np.arange(1 << nb)
+    table.sort()
+    # left half: the product each left mask needs from the right, formed per
+    # block from the low bits' products and one scalar for the high bits
     inverses = [pow(e, -1, modulus) for e in left]
-    inv, sizes = _kernels.all_subset_products([e % s for e in inverses], s)
-    for start in range(0, inv.shape[0], _MASK_BLOCK):
-        base = inv[start : start + _MASK_BLOCK] * (target % s) % s * w
-        sl = sizes[start : start + _MASK_BLOCK].astype(np.int64)
+    low = min(len(left), _MASK_BLOCK.bit_length() - 1)
+    lp, ls = _kernels.all_subset_products([e % s for e in inverses[:low]], s)
+    ls = ls.astype(np.int64)
+    high = [e % s for e in inverses[low:]]
+    for start, stop in _left_blocks(1 << len(left)):
+        h, off = start >> low, start % (1 << low)
+        base = lp[off : off + stop - start] * (_product(high, h, s) * target % s) % s * w
+        sl = ls[off : off + stop - start] + h.bit_count()
         # right sizes allowed; hi <= nb keeps each lookup inside its product's keys
         lo = np.maximum(min_size - sl, 0)
         hi = np.minimum(cap - sl, nb)
@@ -259,8 +283,9 @@ def _find_dp(pool, modulus, target, min_size, max_size):
         )
     inv = [pow(p, -1, modulus) for p in pool]
     reach = _kernels.dp_reach(inv, pq, n_classes, capped)
-    def reached(i, c, r):  # a unit's cell: its position mod each prime power
-        return reach[(i, c) + tuple(_kernels.unit_position(r, p, q) for p, q in pq)]
+    def reached(i, c, r):  # bit c of a unit's cell: its position mod each prime power
+        cell = (i, *(_kernels.unit_position(r, p, q) for p, q in pq), c // 8)
+        return reach[cell] >> (c % 8) & 1
     top = n_classes - 1
     end_classes = [top] if capped else list(range(min_size, n_classes))
     end_c = next((c for c in end_classes if reached(n, c, target)), None)

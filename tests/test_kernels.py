@@ -1,5 +1,6 @@
 """Kernel parity: each numpy kernel must agree exactly with a plain-Python loop oracle."""
 
+import itertools
 import math
 import random
 
@@ -272,9 +273,12 @@ def test_scan_segments_runs_one_segment_inline(monkeypatch):
 
 def test_dp_reach_backends_agree():
     # the kernel's table is the all-residue oracle's table on the units, each
-    # unit at its position mod each prime power of m; m = 1, a prime, prime
-    # powers and moduli with 3 and 4 prime-power factors, 2**4 among them
+    # unit at its position mod each prime power of m and class c at bit c of
+    # its bytes; m = 1, a prime, prime powers and moduli with 3 and 4
+    # prime-power factors, 2**4 among them; every class count 1..20, capped
+    # and not, so classes 8, 9, 16 and 17 sit on either side of a byte edge
     rng = random.Random(17)
+    shapes = itertools.cycle([(c, capped) for c in range(1, 21) for capped in (False, True)])
     for m in (1, 2, 101, 3**4, 2**5, 60, 210, 720, 1155):
         pq = [(p, p**e) for p, e in arith.factorize(m).pairs]
         units = [u for u in range(m) if math.gcd(u, m) == 1]
@@ -282,14 +286,15 @@ def test_dp_reach_backends_agree():
         for _ in range(6):
             n = rng.randrange(1, 14)
             res = [rng.choice(units) for _ in range(n)]
-            n_classes = rng.randrange(2, 5)
-            capped = rng.random() < 0.5
+            n_classes, capped = next(shapes)
             a = K.dp_reach([pow(r, -1, m) for r in res], pq, n_classes, capped)
             b = dp_reach_loops(res, m, n_classes, capped, 1 % m)
-            assert a.shape == (n + 1, n_classes, *(q - q // p for p, q in pq))
+            assert a.shape == (n + 1, *(q - q // p for p, q in pq), -(-n_classes // 8))
+            bits = np.unpackbits(a, axis=-1, bitorder="little")
+            assert not bits[..., n_classes:].any(), (m, n_classes)
             for u in units:
                 cell = tuple(K.unit_position(u, p, q) for p, q in pq)
-                assert np.array_equal(a[(slice(None), slice(None)) + cell], b[:, :, u]), m
+                assert np.array_equal(bits[(slice(None),) + cell][:, :n_classes], b[:, :, u]), m
             assert not b[:, :, non_units].any(), m
 
 

@@ -466,6 +466,95 @@ def test_subset_find_mitm_first_hit_past_first_chunk(m, n):
     assert lmask >= solver._MASK_BLOCK
 
 
+EDGE_Q = 16381  # a prime: 2**17 * EDGE_Q lies just below 2**31
+
+
+def tagged_pool(rng, m, nl, nb):
+    """nl left units mod m that are 5**(2**i) mod 2**(nl + 2), then nb right
+    ones that are 1 mod it, each random mod the odd rest of m. 5 has order
+    2**nl mod 2**(nl + 2), so a subset's product there is 5**(its left mask):
+    a target fixes the left mask of every hit."""
+    e = nl + 2
+    pool = []
+    for i in range(nl + nb):
+        tag, x = pow(5, 1 << i, 1 << e) if i < nl else 1, 0
+        while math.gcd(x, m) != 1:
+            x = tag + (rng.randrange(m >> e) << e)
+        pool.append(x)
+    return pool
+
+
+@pytest.mark.parametrize("m", [2**17 * EDGE_Q, 2**17 * EDGE_Q * P], ids=["below-2**31", "above"])
+def test_subset_find_mitm_first_hit_at_block_edges(m):
+    # 15 left elements, so masks 2**14 - 1 and 2**14 lie on either side of a
+    # multiple of _MASK_BLOCK; the first hit's left mask is put on each edge of
+    # each block the scan takes, and the dict search is the oracle
+    nl, nb = 15, 14
+    blocks = list(solver._left_blocks(1 << nl))
+    assert [b - a for a, b in blocks] == [256, 256, 512, 1024, 2048, 4096, 8192, 16384]
+    assert all(a // solver._MASK_BLOCK == (b - 1) // solver._MASK_BLOCK for a, b in blocks)
+    rng = random.Random(73)
+    pool = tagged_pool(rng, m, nl, nb)
+    for lmask in sorted({edge for a, b in blocks for edge in (a, b - 1)}):
+        chosen = [i for i in range(nl) if lmask >> i & 1] + rng.sample(range(nl, nl + nb), 3)
+        target = math.prod(pool[i] for i in chosen) % m
+        size = len(chosen)  # the exact size: a left mask's size counts its high bits
+        got = solver.subset_product_find(pool, m, target, size, size)
+        assert got == find_mitm_dict(pool, m, target, size, size), lmask
+        assert sum(1 << i for i in got if i < nl) == lmask
+
+
+def test_subset_find_mitm_miss_scans_every_block(monkeypatch):
+    # every element is 1 mod 4 and the target 3 mod 4: no left mask has a
+    # partner, and the scan takes every block, in order, before it answers None
+    m, nl = 2**17 * EDGE_Q, 15
+    pool = tagged_pool(random.Random(79), m, nl, 14)
+    seen, blocks = [], solver._left_blocks
+    monkeypatch.setattr(solver, "_left_blocks", lambda total: (
+        seen.append(block) or block for block in blocks(total)))
+    target = 3 + 4 * 1234567
+    assert solver.subset_product_find(pool, m, target, 3) is None
+    assert find_mitm_dict(pool, m, target, 3) is None
+    assert seen == list(blocks(1 << nl))
+
+
+def test_subset_find_dp_size_classes_across_byte_edges():
+    # the DP keeps class c at bit c % 8 of byte c // 8: bounds of 8, 9 and 16
+    # (and 7, 8 and 16 as the capped top class) put the top class on either
+    # side of a byte edge; the exhaustive scan decides whether a subset exists
+    rng = random.Random(83)
+    for m, n in ((1001, 16), (9973, 18), (9973, 24), (2**5 * 3**2 * 7, 20)):
+        units = units_of(m)
+        pool = [rng.choice(units) ** 2 % m for _ in range(n)]  # squares: a random unit mostly misses
+        bounds = [(rng.randint(1, c), c) for c in (8, 9, 16)] + [(c, None) for c in (7, 8, 16)]
+        for min_size, max_size in bounds:
+            size = rng.randint(min_size, min(max_size or n, n))
+            for target in (math.prod(rng.sample(pool, size)) % m, rng.choice(units)):
+                got = solver._find_dp(pool, m, target, min_size, max_size)
+                hits = solver.subset_product_enumerate(pool, m, target, min_size, max_size)
+                assert (got is None) == (not hits), (m, n, min_size, max_size)
+                if got is not None:
+                    assert math.prod(pool[i] for i in got) % m == target
+                    assert min_size <= len(got) <= (max_size or n)
+
+
+@pytest.mark.parametrize(("lam", "M", "cap", "a", "bound"), [
+    (65520, 11, None, 3, 8 << 20),  # 42 layers of phi(720720) = 138240 one-byte cells
+    (720720, 19, 40, 5, 24 << 20),  # 2**20 right keys built in place, left products per block
+], ids=["dp-41", "mitm-40"])
+def test_construct_search_memory(lam, M, cap, a, bound):
+    pool = pipeline.erdos_pool(lam, M, cap)
+    target, m = solver.derive_target(lam, M, a)
+    tracemalloc.start()
+    try:
+        got = solver.subset_product_find(pool, m, target, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pool) == (cap or 41) and math.prod(pool[i] for i in got) % m == target
+    assert peak < bound, peak
+
+
 def test_zero_sum_threshold_spotcheck():
     # pools of length s(G) always contain a subset with product 1 (searched
     # exactly); moduli picked with small exponent so s(G) stays desk-sized
