@@ -43,6 +43,7 @@ from .solver import (
 )
 
 FORMATS = ("json-lines", "csv", "human")
+THREADS_CAP = 64  # the census starts one thread per worker, each with its own segment arrays
 
 
 class UsageError(Exception):
@@ -64,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--format", choices=FORMATS, help="default json-lines")
     common.add_argument("--output", metavar="PATH")
-    common.add_argument("--threads", type=int, metavar="N", help="default: the CPU count")
+    common.add_argument("--threads", type=int, metavar="N",
+                        help=f"1..{THREADS_CAP}; default: the CPU count")
     parser = argparse.ArgumentParser(
         prog="carmkit",
         description="Construct, search for, and certify Carmichael numbers in residue classes.",
@@ -118,9 +120,9 @@ def parse_args(argv) -> argparse.Namespace:
     ns = parser.parse_args(argv)
     ns.format = getattr(ns, "format", "json-lines")
     ns.output = getattr(ns, "output", None)
-    ns.threads = getattr(ns, "threads", os.cpu_count() or 1)
-    if ns.threads < 1:
-        parser.error("--threads must be >= 1")
+    ns.threads = getattr(ns, "threads", min(os.cpu_count() or 1, THREADS_CAP))
+    if not 1 <= ns.threads <= THREADS_CAP:
+        parser.error(f"--threads must be in 1..{THREADS_CAP} (the threads cap)")
     if ns.subcommand == "verify":
         if ns.n < 1:
             parser.error("n must be >= 1")

@@ -5,18 +5,18 @@ elements, a layered DP over the unit group (Z/m)^x with witness reconstruction
 beyond that, and a full 2**n scan as the exhaustive oracle for small pools.
 Meet-in-the-middle sorts one half's subsets as (product, size, mask) keys and
 binary-searches them for each mask of the other half, in mask order, for any
-modulus. The other half's masks go in blocks of 2**8 masks, then each block
-as long as all before it, up to _MASK_BLOCK: its products are formed per
-block from one table of its low bits' products and one scalar for the high
-bits, so a search whose first hit comes early forms few of them.
+modulus. It and the scan form their masks' products block by block, small
+blocks first (see _mask_blocks), so a search whose first hit comes early forms
+few of them.
 
 The search modulus. Meet-in-the-middle and the scan form their products mod
 a search modulus s (see _search_modulus): s = m below 2**31; above, the block
 of m's small prime-power factors below 2**31, used while 2**n <= s * 2**12
-for n pool elements, else m with Python ints. A match mod s is re-checked
-exactly mod m before it counts, in the search's own order, so the witness
-does not depend on s; past _RECHECK_BUDGET (2**16) failed re-checks a search
-goes mod m instead.
+for n pool elements, else m with Python ints. A match mod s counts only if
+the whole subset's product is the target mod m too, so the witness does not
+depend on s. Meet-in-the-middle re-checks each match as it meets it and goes
+mod m past _RECHECK_BUDGET (2**16) failed re-checks; the scan first collects
+every match mod s and goes mod m when there are more than _RECHECK_BUDGET.
 
 Every pool element is a unit and the DP starts from 1, so the DP table
 covers the phi(m) units only, with one axis of phi(q) positions per prime
@@ -57,7 +57,7 @@ from .korselt import korselt_check
 MITM_LIMIT = 40
 ENUMERATE_LIMIT = 24
 DP_CELL_BOUND = 200_000_000
-_MASK_BLOCK = 1 << 14  # the longest block of left masks (MITM), the masks one scan step forms
+_MASK_BLOCK = 1 << 14  # the longest block of masks _mask_blocks forms at once
 _SPURIOUS_BITS = 12  # a search mod a block s of m allows 2**n <= s * 2**12
 _RECHECK_BUDGET = 1 << 16  # matches mod s re-checked before a search goes mod m instead
 
@@ -159,10 +159,12 @@ def derive_target(L: int, M: int, a: int) -> tuple[int, int]:
     return (1 + L * t) % modulus, modulus
 
 
-def _validate_pool(pool, modulus: int, min_size: int) -> list[int]:
+def _validate_pool(pool, modulus: int, min_size: int, max_size: int | None) -> list[int]:
     pool = [int(p) for p in pool]
     if min_size < 1:
         raise DomainError(f"min_size must be >= 1, got {min_size}")
+    if max_size is not None and max_size < min_size:
+        raise DomainError(f"max_size {max_size} < min_size {min_size}")
     if modulus < 1:
         raise DomainError(f"modulus must be >= 1, got {modulus}")
     for p in pool:
@@ -202,7 +204,7 @@ def _product(elems, mask: int, m: int) -> int:
 
 
 def _left_blocks(total: int):
-    """The [start, end) blocks of left masks below ``total`` the MITM scan
+    """The [start, end) blocks of masks below ``total`` that _mask_blocks
     takes in turn: 2**8 masks, then each block as long as all before it, up
     to _MASK_BLOCK. Each block is aligned to its length, so none crosses a
     multiple of _MASK_BLOCK."""
@@ -210,6 +212,20 @@ def _left_blocks(total: int):
     while start < total:
         yield start, end
         start, end = end, min(total, end + min(end, _MASK_BLOCK))
+
+
+def _mask_blocks(elems, s: int, scale: int):
+    """(start, products, sizes) per block of _left_blocks over the masks of
+    ``elems``: entry i stands for mask start + i, its subset's product mod s
+    times ``scale`` and its size (uint8). A block's products are one table of
+    the low 14 bits' products times one scalar for its high bits."""
+    low = min(len(elems), _MASK_BLOCK.bit_length() - 1)
+    lp, ls = _kernels.all_subset_products([e % s for e in elems[:low]], s)
+    high = [e % s for e in elems[low:]]
+    for start, stop in _left_blocks(1 << len(elems)):
+        h, off = start >> low, start % (1 << low)
+        yield (start, lp[off : off + stop - start] * (_product(high, h, s) * scale % s) % s,
+               ls[off : off + stop - start] + h.bit_count())
 
 
 def _find_mitm(pool, modulus, s, target, min_size, max_size):
@@ -231,17 +247,11 @@ def _find_mitm(pool, modulus, s, target, min_size, max_size):
     table <<= nb
     table |= np.arange(1 << nb)
     table.sort()
-    # left half: the product each left mask needs from the right, formed per
-    # block from the low bits' products and one scalar for the high bits
-    inverses = [pow(e, -1, modulus) for e in left]
-    low = min(len(left), _MASK_BLOCK.bit_length() - 1)
-    lp, ls = _kernels.all_subset_products([e % s for e in inverses[:low]], s)
-    ls = ls.astype(np.int64)
-    high = [e % s for e in inverses[low:]]
-    for start, stop in _left_blocks(1 << len(left)):
-        h, off = start >> low, start % (1 << low)
-        base = lp[off : off + stop - start] * (_product(high, h, s) * target % s) % s * w
-        sl = ls[off : off + stop - start] + h.bit_count()
+    # left half: the product each left mask needs from the right
+    inverses = [pow(e, -1, s) for e in left]
+    for start, need, sizes in _mask_blocks(inverses, s, target % s):
+        base = need * w
+        sl = sizes.astype(np.int64)
         # right sizes allowed; hi <= nb keeps each lookup inside its product's keys
         lo = np.maximum(min_size - sl, 0)
         hi = np.minimum(cap - sl, nb)
@@ -249,16 +259,12 @@ def _find_mitm(pool, modulus, s, target, min_size, max_size):
         entry = table[np.minimum(pos, table.shape[0] - 1)]
         hits = np.flatnonzero((lo <= hi) & (pos < table.shape[0]) & ((entry >> nb) <= base + hi))
         for i in hits:  # one at a time: the first exact match ends the search
-            lmask = start + int(i)
-            need = _product(inverses, lmask, modulus) * target % modulus
             # its keys run from pos to the first key past its largest allowed size
             end = bisect_left(table, (base[i] + int(hi[i]) + 1) << nb, lo=int(pos[i]))
             for key in table[pos[i] : end].tolist():
-                rmask = key & ((1 << nb) - 1)
-                if _product(right, rmask, modulus) == need:
-                    idx = [j for j in range(len(left)) if lmask >> j & 1]
-                    idx += [len(left) + j for j in range(len(right)) if rmask >> j & 1]
-                    return tuple(idx)
+                mask = start + int(i) | (key & ((1 << nb) - 1)) << len(left)
+                if s == modulus or _product(pool, mask, modulus) == target:
+                    return tuple(j for j in range(n) if mask >> j & 1)
                 failed += 1
                 if failed > _RECHECK_BUDGET:
                     return _find_mitm(pool, modulus, modulus, target, min_size, max_size)
@@ -322,9 +328,7 @@ def subset_product_find(pool, modulus: int, target: int, min_size: int, max_size
     partner, with its least-size, then least-mask right partner. Keys are
     taken mod the search modulus, as the module docstring sets out.
     """
-    pool = _validate_pool(pool, modulus, min_size)
-    if max_size is not None and max_size < min_size:
-        raise DomainError(f"max_size {max_size} < min_size {min_size}")
+    pool = _validate_pool(pool, modulus, min_size, max_size)
     target %= modulus
     if len(pool) < min_size or math.gcd(target, modulus) > 1:
         return None  # too few elements, or a non-unit target: a product of units is a unit
@@ -341,11 +345,11 @@ def subset_product_enumerate(
 ) -> list[tuple[int, ...]]:
     """Every qualifying index subset, by full 2**n scan (n <= 24), ascending by mask.
 
-    The low half's products are built once and multiplied by a block of high
-    masks' products at a time, so memory stays O(_MASK_BLOCK). Products are
-    taken mod the search modulus, as the module docstring sets out.
+    The masks go in the blocks of _mask_blocks, so memory stays
+    O(_MASK_BLOCK). Products are taken mod the search modulus, as the module
+    docstring sets out.
     """
-    pool = _validate_pool(pool, modulus, min_size)
+    pool = _validate_pool(pool, modulus, min_size, max_size)
     n = len(pool)
     if n > ENUMERATE_LIMIT:
         raise CapacityError(f"pool size {n} exceeds exhaustive-scan cap {ENUMERATE_LIMIT}")
@@ -363,17 +367,10 @@ def subset_product_enumerate(
 def _scan_masks(pool, s: int, target: int, min_size: int, cap: int) -> list[int]:
     """The masks, ascending, whose subsets hit the target mod s with a size in
     [min_size, cap]."""
-    nl = (len(pool) + 1) // 2
-    lp, ls = _kernels.all_subset_products([p % s for p in pool[:nl]], s)
-    hp, hs = _kernels.all_subset_products([p % s for p in pool[nl:]], s)
-    rows = max(_MASK_BLOCK >> nl, 1)  # high masks per block
     masks: list[int] = []
-    for h in range(0, hp.shape[0], rows):
-        # row r, column l is mask (h + r) << nl | l
-        prods = hp[h : h + rows, None] * lp % s
-        sizes = hs[h : h + rows, None] + ls
+    for start, prods, sizes in _mask_blocks(pool, s, 1):
         hit = (prods == target) & (sizes >= min_size) & (sizes <= cap)
-        masks += (np.flatnonzero(hit) + (h << nl)).tolist()
+        masks += (np.flatnonzero(hit) + start).tolist()
     return masks
 
 

@@ -79,8 +79,28 @@ def test_parse_args_rejects_unknown_flags():
 
 
 def test_parse_args_threads_env():
-    assert cli.parse_args(["verify", "561"]).threads == (os.cpu_count() or 1)
+    assert cli.parse_args(["verify", "561"]).threads == min(os.cpu_count() or 1, cli.THREADS_CAP)
     assert cli.parse_args(["--threads", "2", "verify", "561"]).threads == 2
+
+
+def test_cli_threads_cap(capsys, monkeypatch):
+    # the census hands --threads to its segment pool, so a value past the cap
+    # exits 2 at parse time, before any pool exists; one at the cap runs
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    cap = cli.THREADS_CAP
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["--threads", str(cap + 1), "census", "--limit", "10000000000", "--modulus", "1"])
+    assert ei.value.code == 2
+    assert f"--threads must be in 1..{cap} (the threads cap)" in capsys.readouterr().err
+    # 10**4 is one segment, which runs inline whatever the thread count
+    census = ("--format", "csv", "census", "--limit", "10000", "--modulus", "4")
+    at_cap = run_cli(capsys, "--threads", str(cap), *census)
+    assert at_cap[0] == 0 and at_cap == run_cli(capsys, "--threads", "1", *census)
 
 
 def test_emit_certificate_json_exact():
@@ -518,7 +538,7 @@ def test_cli_construct_agp_miss_searches_int64_blocks(capsys, monkeypatch):
     assert code == 1
     assert err == ("no qualifying subset in pool of 24 primes; "
                    "exhaustive scan of 16777216 subsets confirms none exists\n")
-    assert len(moduli) == 4  # two halves each for the search and the scan
+    assert len(moduli) == 3  # two halves for the search, one low-bits table for the scan
     assert all(m < _kernels.INT64_MOD_LIMIT for m in moduli), moduli
 
 

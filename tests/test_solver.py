@@ -241,7 +241,7 @@ def test_block_search_crowded_residues_go_mod_m(monkeypatch):
         assert got == find_mitm_dict(pool, m, target, 2)
         moduli.clear()
         got = solver.subset_product_enumerate(pool, m, target, 2)
-        assert moduli == [4096, 4096, m, m]
+        assert moduli == [4096, m]
         prods, sizes = products(pool, m)
         want = np.flatnonzero((prods == target) & (sizes >= 2)).tolist()
         assert got == [tuple(i for i in range(20) if mask >> i & 1) for mask in want]
@@ -350,6 +350,8 @@ def test_subset_find_validation():
         solver.subset_product_find([7], 4, 1, 0)
     with pytest.raises(DomainError):
         solver.subset_product_find([7, 11], 4, 1, 2, 1)
+    with pytest.raises(DomainError, match="^max_size 1 < min_size 2$"):
+        solver.subset_product_enumerate([7, 11], 4, 1, 2, 1)
     with pytest.raises(CapacityError):
         solver.subset_product_enumerate([3] * 25, 7, 1, 1)
     # beyond the MITM limit with a modulus too large for the DP table
