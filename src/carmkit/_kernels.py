@@ -14,8 +14,8 @@ strided slice per prime, the primes with at most one such entry per segment
 in one batch. v is Carmichael iff s == v: each prime p of a Carmichael v
 lies below sqrt(v), since p - 1 | v/p - 1.
 ``all_subset_products`` is int64 below ``INT64_MOD_LIMIT`` and Python ints
-(object arrays) above. Other arbitrary-precision paths live outside this
-module.
+(object arrays) above, which the solver uses only for a column of 2**31 or
+more. Other arbitrary-precision paths live outside this module.
 ``strong_probable_primes`` runs Miller-Rabin over an array of odd
 candidates below ``MR_LIMIT`` = 2**50: the first base on every candidate,
 the later bases as one stacked test over its survivors. Each power runs left
@@ -191,8 +191,8 @@ def all_subset_products(res, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(product mod m, popcount) for every subset mask of the residues ``res``.
 
     Entry ``mask`` covers the items whose bits are set in it. Products are
-    int64 for m < INT64_MOD_LIMIT, each doubling reduced in place as
-    x - x // m * m, and Python ints (object dtype) otherwise, reduced by %.
+    int64 for m < INT64_MOD_LIMIT, each doubling reduced in place as x - x // m * m,
+    and Python ints (object dtype), reduced by %, for a solver column of 2**31 or more.
     """
     dtype = np.int64 if m < INT64_MOD_LIMIT else object
     res = np.array(res, dtype=dtype)

@@ -221,15 +221,8 @@ def _pollard_brent(n: int, seed: int, budget: int) -> tuple[int, int]:
     return (g if 1 < g < n else n), used
 
 
-def factorize(n: int) -> Factorization:
-    """Exact factorization of n >= 1 under an explicit work budget.
-
-    Trial division up to TRIAL_BOUND, then deterministic Brent-rho rounds
-    capped at RHO_BUDGET total iterations. Raises UnfactoredError (naming
-    the remaining cofactor) rather than stalling on hard inputs.
-    """
-    if n < 1:
-        raise DomainError(f"factorize requires n >= 1, got {n}")
+def trial_division(n: int) -> tuple[dict[int, int], int]:
+    """({p: e}, rest): n >= 1 split by trial division to TRIAL_BOUND into p**e || n and a rest."""
     found: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -247,7 +240,19 @@ def factorize(n: int) -> Factorization:
     if n > 1 and d * d > n:
         found[n] = found.get(n, 0) + 1
         n = 1
+    return found, n
 
+
+def factorize(n: int) -> Factorization:
+    """Exact factorization of n >= 1 under an explicit work budget.
+
+    Trial division up to TRIAL_BOUND, then deterministic Brent-rho rounds
+    capped at RHO_BUDGET total iterations. Raises UnfactoredError (naming
+    the remaining cofactor) rather than stalling on hard inputs.
+    """
+    if n < 1:
+        raise DomainError(f"factorize requires n >= 1, got {n}")
+    found, n = trial_division(n)
     remaining = RHO_BUDGET
     stack = [n] if n > 1 else []
     while stack:

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, takewhile
 
 import numpy as np
 
@@ -234,13 +234,13 @@ def _batch_primes(p: np.ndarray, M: int, a: int, require_residue: bool) -> np.nd
 
 
 def _pool_grid(
-    divs: list[int], ks: np.ndarray, limit: int, L: int, L_fact: Factorization, M: int, a: int,
+    divs: list[int], ks: np.ndarray, limit: int, L_fact: Factorization, M: int, a: int,
     filters: PoolFilters,
 ) -> Iterator[tuple[int, int]]:
     """The pool rule over the candidate grid: the pairs (k, p), k in ks
     (ascending) and d in divs with d <= limit // k, where p = d*k + 1 is prime,
     coprime to M*L and passes the enabled filters, k-major and in the order
-    of divs.
+    of divs. L is read only through its primes.
 
     Before any primality test, a candidate with a factor r in _TRIAL_PRIMES
     other than itself is struck, read from (d mod r)(k mod r) + 1 = 0 (mod r)
@@ -254,7 +254,9 @@ def _pool_grid(
     top = _TRIAL_PRIMES[-1] - 1
     low = np.array(divs[: bisect_right(divs, top)], dtype=np.int64)
     d_mods = (np.array(divs, dtype=object) % np.array(_TRIAL_PRIMES, dtype=object)[:, None]).astype(np.int16)
-    ML = M * L
+    L_primes = set(L_fact.primes())  # a prime p is coprime to M*L iff p ∤ M and p is not one
+    # is_qr_mod_L(1, L_fact) checks the QR filter's conditions on L, once
+    qr_primes = L_fact.primes() if filters.require_qr and is_qr_mod_L(1, L_fact) else ()
     divs_int64 = np.array(divs, dtype=np.int64) if limit < MR_LIMIT else None
     for d_at, k_at in _candidates(divs, ks, limit):
         # the block's ks are one run ks[k_at[0]:k_at[-1]+1]; per-k values are taken there
@@ -272,8 +274,8 @@ def _pool_grid(
         for i, k, sure in zip(d_at[live].tolist(), run[k_at[live]].tolist(), known[live].tolist()):
             p = divs[i] * k + 1
             if ((sure or ((not filters.require_residue or p % M == a % M) and is_prime(p)))
-                    and ML % p != 0
-                    and (not filters.require_qr or is_qr_mod_L(p, L_fact))):
+                    and M % p != 0 and p not in L_primes
+                    and all(jacobi(p, q) == 1 for q in qr_primes)):
                 yield k, p
 
 
@@ -292,18 +294,20 @@ def find_k0(
         raise DomainError(f"x must be >= 2, got {x}")
     if k_cap < 1:
         raise DomainError(f"k_cap must be >= 1, got {k_cap}")
-    L = L_fact.value()
     divs = _divisors_upto(L_fact, x - 1)
     k_max = min(k_cap, x - 1)
     candidates = sum(min(k_max, (x - 1) // d) for d in divs)
     if candidates > K0_SCAN_CAP:
         raise CapacityError(f"{candidates} k0 candidates exceed the k0 scan cap {K0_SCAN_CAP}")
+    coprime = np.arange(k_max + 1) > 0  # each prime of L up to k_max strikes its multiples
+    for q in takewhile(lambda q: q <= k_max, L_fact.primes()):
+        coprime[q::q] = False
     # k_max <= candidates (d = 1 is a divisor) <= K0_SCAN_CAP, so int32 holds every k
-    ks = np.fromiter((k for k in range(1, k_max + 1) if math.gcd(k, L) == 1), dtype=np.int32)
+    ks = np.flatnonzero(coprime).astype(np.int32)
     # the grid is k-major, so each k's primes come in one run; only a strictly
     # larger count displaces the best, so the smallest k of a tie wins
     best = (0, 0)
-    for k, run in groupby(k for k, _ in _pool_grid(divs, ks, x - 1, L, L_fact, M, a, filters)):
+    for k, run in groupby(k for k, _ in _pool_grid(divs, ks, x - 1, L_fact, M, a, filters)):
         count = sum(1 for _ in run)
         if count > best[1]:
             best = (k, count)
@@ -318,8 +322,7 @@ def build_pool(
     """The k0 pool, ascending and cut at caps.pool_cap: the primes
     p = d*k0 + 1 <= x over d | L that pass the pool rule."""
     divs = _divisors_upto(L_fact, (x - 1) // k0)
-    grid = _pool_grid(divs, np.array([k0]), x - 1, L_fact.value(), L_fact, params.M, params.a,
-                      params.filters)
+    grid = _pool_grid(divs, np.array([k0]), x - 1, L_fact, params.M, params.a, params.filters)
     return [p for _, p in grid][: params.caps.pool_cap]
 
 
@@ -332,8 +335,7 @@ def erdos_pool(Lambda: int, M: int, pool_cap: int | None = None) -> list[int]:
     if Lambda < 2:
         raise DomainError(f"Lambda must be >= 2, got {Lambda}")
     f = factorize(Lambda)
-    grid = _pool_grid(_divisors_upto(f, Lambda), np.array([1]), Lambda, Lambda, f, M, 0,
-                      PoolFilters())
+    grid = _pool_grid(_divisors_upto(f, Lambda), np.array([1]), Lambda, f, M, 0, PoolFilters())
     return [p for _, p in grid][:pool_cap]
 
 

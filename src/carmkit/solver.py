@@ -3,20 +3,19 @@
 The searches are explicit and complete: meet-in-the-middle for pools up to 40
 elements, a layered DP over the unit group (Z/m)^x with witness reconstruction
 beyond that, and a full 2**n scan as the exhaustive oracle for small pools.
-Meet-in-the-middle sorts one half's subsets as (product, size, mask) keys and
+Meet-in-the-middle sorts one half's subsets as (digest, size, mask) keys and
 binary-searches them for each mask of the other half, in mask order, for any
 modulus. It and the scan form their masks' products block by block, small
 blocks first (see _mask_blocks), so a search whose first hit comes early forms
 few of them.
 
-The search modulus. Meet-in-the-middle and the scan form their products mod
-a search modulus s (see _search_modulus): s = m below 2**31; above, the block
-of m's small prime-power factors below 2**31, used while 2**n <= s * 2**12
-for n pool elements, else m with Python ints. A match mod s counts only if
-the whole subset's product is the target mod m too, so the witness does not
-depend on s. Meet-in-the-middle re-checks each match as it meets it and goes
-mod m past _RECHECK_BUDGET (2**16) failed re-checks; the scan first collects
-every match mod s and goes mod m when there are more than _RECHECK_BUDGET.
+Columns. Both form their products mod the CRT columns of the modulus m (see
+_columns), all int64 below 2**31 but one of Python ints for what trial
+division leaves. The scan tests each column only where the ones before it
+hold, so its hits are exact. Meet-in-the-middle keys on the columns folded
+into one int64 below 2**38 (see _digest), which unequal residues share about
+2**(n - 38) times in a search of n elements, so a match counts only once the
+subset's product is the target mod m: the witness does not depend on columns.
 
 Every pool element is a unit and the DP starts from 1, so the DP table
 covers the phi(m) units only, with one axis of phi(q) positions per prime
@@ -38,11 +37,11 @@ from . import _kernels
 from .arith import (
     Factorization,
     PROBABLE_PRIME_THRESHOLD,
-    TRIAL_BOUND,
     carmichael_lambda,
     euler_phi,
     factorize,
     is_prime,
+    trial_division,
 )
 from .errors import (
     AssemblyError,
@@ -58,8 +57,9 @@ MITM_LIMIT = 40
 ENUMERATE_LIMIT = 24
 DP_CELL_BOUND = 200_000_000
 _MASK_BLOCK = 1 << 14  # the longest block of masks _mask_blocks forms at once
-_SPURIOUS_BITS = 12  # a search mod a block s of m allows 2**n <= s * 2**12
-_RECHECK_BUDGET = 1 << 16  # matches mod s re-checked before a search goes mod m instead
+# _digest's fold: a prime below 2**38, so a key (digest * 21 + size) << 20 fits
+# in int64, and a multiplier below 2**25, so d * _DIGEST_MUL + r does too
+_DIGEST_MOD, _DIGEST_MUL = (1 << 38) - 45, (1 << 25) - 39
 
 
 @dataclass(frozen=True)
@@ -173,34 +173,33 @@ def _validate_pool(pool, modulus: int, min_size: int, max_size: int | None) -> l
     return pool
 
 
-def _search_modulus(m: int, n: int) -> int:
-    """The modulus s a search over n pool elements forms its products mod.
-
-    Below 2**31, s = m. Above, s is the product of the prime-power factors of
-    m that trial division finds in ascending order, each joining while s
-    stays below 2**31; the walk stops at the first prime p with s*p >= 2**31,
-    or past TRIAL_BOUND. s is kept only while 2**n <= s * 2**_SPURIOUS_BITS,
-    so that about 2**_SPURIOUS_BITS matches mod s at most fail mod m;
-    otherwise s = m and the products are Python ints.
-    """
+def _columns(m: int) -> list[int]:
+    """The CRT columns of m: [m] below 2**31; above, the prime powers that trial
+    division finds packed, ascending, into int64 columns, then the rest."""
     limit = _kernels.INT64_MOD_LIMIT
     if m < limit:
-        return m
-    s, rest, d = 1, m, 2
-    while rest > 1 and d <= TRIAL_BOUND and s * d < limit:
-        if rest % d == 0:  # d is prime: the primes below it are divided out of rest
-            q = 1
-            while rest % d == 0:
-                q, rest = q * d, rest // d
-            if s * q < limit:
-                s *= q
-        d += 1 if d == 2 else 2
-    return s if 1 << n <= s << _SPURIOUS_BITS else m
+        return [m]
+    found, rest = trial_division(m)
+    cols: list[int] = []
+    for q in (p**e for p, e in sorted(found.items())):
+        if q >= limit:
+            rest *= q
+        elif cols and cols[-1] * q < limit:
+            cols[-1] *= q
+        else:
+            cols.append(q)
+    return cols + [rest] if rest > 1 else cols
 
 
-def _product(elems, mask: int, m: int) -> int:
-    """The product mod m of the elements whose bits are set in mask."""
-    return math.prod(e for i, e in enumerate(elems) if mask >> i & 1) % m
+def _digest(residues, cols) -> np.ndarray:
+    """The per-column ``residues`` folded, per entry, into one int64 below 2**38:
+    d -> (d * _DIGEST_MUL + r) % _DIGEST_MOD, a lone int64 column kept as it is."""
+    if cols[-1] >= _kernels.INT64_MOD_LIMIT:
+        residues = [*residues[:-1], (residues[-1] % _DIGEST_MOD).astype(np.int64)]
+    d = residues[0]
+    for r in residues[1:]:
+        d = (d * _DIGEST_MUL + r) % _DIGEST_MOD
+    return d
 
 
 def _left_blocks(total: int):
@@ -214,60 +213,61 @@ def _left_blocks(total: int):
         start, end = end, min(total, end + min(end, _MASK_BLOCK))
 
 
-def _mask_blocks(elems, s: int, scale: int):
-    """(start, products, sizes) per block of _left_blocks over the masks of
-    ``elems``: entry i stands for mask start + i, its subset's product mod s
-    times ``scale`` and its size (uint8). A block's products are one table of
-    the low 14 bits' products times one scalar for its high bits."""
+def _mask_blocks(elems, cols, scale: int):
+    """(start, sizes, parts) per block of _left_blocks over the masks of
+    ``elems``: entry i stands for mask start + i, of size sizes[i] (uint8).
+    ``parts`` holds, per column c of ``cols``, the low 14 bits' products and
+    the high bits' product times ``scale``; the block's products are table * factor % c."""
     low = min(len(elems), _MASK_BLOCK.bit_length() - 1)
-    lp, ls = _kernels.all_subset_products([e % s for e in elems[:low]], s)
-    high = [e % s for e in elems[low:]]
+    tables = [_kernels.all_subset_products([e % c for e in elems[:low]], c) for c in cols]
+    sizes = tables[0][1]
     for start, stop in _left_blocks(1 << len(elems)):
         h, off = start >> low, start % (1 << low)
-        yield (start, lp[off : off + stop - start] * (_product(high, h, s) * scale % s) % s,
-               ls[off : off + stop - start] + h.bit_count())
+        f = math.prod(e for i, e in enumerate(elems[low:]) if h >> i & 1) * scale
+        yield (start, sizes[off : off + stop - start] + h.bit_count(),
+               [(lp[off : off + stop - start], f % c) for (lp, _), c in zip(tables, cols)])
 
 
-def _find_mitm(pool, modulus, s, target, min_size, max_size):
+def _find_mitm(pool, modulus, target, min_size, max_size):
     """First left mask (in mask order) with a right partner, and for it the
-    right mask of least size, then least mask, that completes the target,
-    searched mod s under the search-modulus rule (see the module docstring).
-    """
+    right mask of least size, then least mask, that completes the target:
+    keys match on digests, and a match counts once confirmed mod the modulus."""
     n = len(pool)
     nb = n // 2
     left, right = pool[: n - nb], pool[n - nb :]
     cap = max_size if max_size is not None else n
-    failed = 0
-    # right half: one key per mask ordering (product, size, mask); the keys are
-    # distinct and, for int64 products (< 2**31, nb <= 20), below 2**56
+    cols = _columns(modulus)
+    # right half: one key per mask ordering (digest, size, mask); the keys are
+    # distinct and below 2**38 * 21 * 2**20 < 2**63 (nb <= 20)
     w = nb + 1
-    table, rs = _kernels.all_subset_products([e % s for e in right], s)
-    table *= w  # in place: the keys take no more memory than the products
+    table, rs = zip(*(_kernels.all_subset_products([e % c for e in right], c) for c in cols))
+    table, rs = _digest(table, cols), rs[0]
+    table *= w  # in place: the keys take no more memory than the digests
     table += rs
     table <<= nb
     table |= np.arange(1 << nb)
     table.sort()
-    # left half: the product each left mask needs from the right
-    inverses = [pow(e, -1, s) for e in left]
-    for start, need, sizes in _mask_blocks(inverses, s, target % s):
-        base = need * w
+    # left half: the digest of the product each left mask needs from the right
+    inverses = [pow(e, -1, modulus) for e in left]
+    for start, sizes, parts in _mask_blocks(inverses, cols, target):
+        base = _digest([t * f % c for (t, f), c in zip(parts, cols)], cols) * w
         sl = sizes.astype(np.int64)
-        # right sizes allowed; hi <= nb keeps each lookup inside its product's keys
+        # right sizes allowed; hi <= nb keeps each lookup inside its digest's keys
         lo = np.maximum(min_size - sl, 0)
         hi = np.minimum(cap - sl, nb)
-        pos = np.searchsorted(table, (base + lo) << nb)
+        needles = (base + lo) << nb
+        order = np.argsort(needles)  # ascending needles walk the table in order
+        pos = np.empty_like(order)
+        pos[order] = np.searchsorted(table, needles[order])
         entry = table[np.minimum(pos, table.shape[0] - 1)]
         hits = np.flatnonzero((lo <= hi) & (pos < table.shape[0]) & ((entry >> nb) <= base + hi))
-        for i in hits:  # one at a time: the first exact match ends the search
+        for i in hits:  # one at a time: the first confirmed match ends the search
             # its keys run from pos to the first key past its largest allowed size
             end = bisect_left(table, (base[i] + int(hi[i]) + 1) << nb, lo=int(pos[i]))
             for key in table[pos[i] : end].tolist():
                 mask = start + int(i) | (key & ((1 << nb) - 1)) << len(left)
-                if s == modulus or _product(pool, mask, modulus) == target:
+                if math.prod(e for j, e in enumerate(pool) if mask >> j & 1) % modulus == target:
                     return tuple(j for j in range(n) if mask >> j & 1)
-                failed += 1
-                if failed > _RECHECK_BUDGET:
-                    return _find_mitm(pool, modulus, modulus, target, min_size, max_size)
     return None
 
 
@@ -323,10 +323,10 @@ def subset_product_find(pool, modulus: int, target: int, min_size: int, max_size
     is not a unit is answered None before either search; the DP raises
     CapacityError when its table would exceed DP_CELL_BOUND cells.
     Meet-in-the-middle splits the pool into a left and a right half, keeps
-    the right half as a sorted array of (product, size, mask) keys and scans
+    the right half as a sorted array of (digest, size, mask) keys and scans
     the left masks in mask order; it returns the first left mask that has a
-    partner, with its least-size, then least-mask right partner. Keys are
-    taken mod the search modulus, as the module docstring sets out.
+    partner, with its least-size, then least-mask right partner. Keys hold
+    digests, and matches are confirmed, as the module docstring sets out.
     """
     pool = _validate_pool(pool, modulus, min_size, max_size)
     target %= modulus
@@ -335,8 +335,7 @@ def subset_product_find(pool, modulus: int, target: int, min_size: int, max_size
     if max_size is not None and max_size >= len(pool):
         max_size = None  # no larger subset exists; search as with no bound
     if len(pool) <= MITM_LIMIT:
-        s = _search_modulus(modulus, len(pool))
-        return _find_mitm(pool, modulus, s, target, min_size, max_size)
+        return _find_mitm(pool, modulus, target, min_size, max_size)
     return _find_dp(pool, modulus, target, min_size, max_size)
 
 
@@ -346,8 +345,8 @@ def subset_product_enumerate(
     """Every qualifying index subset, by full 2**n scan (n <= 24), ascending by mask.
 
     The masks go in the blocks of _mask_blocks, so memory stays
-    O(_MASK_BLOCK). Products are taken mod the search modulus, as the module
-    docstring sets out.
+    O(_MASK_BLOCK), and each block is tested one column at a time, as the
+    module docstring sets out.
     """
     pool = _validate_pool(pool, modulus, min_size, max_size)
     n = len(pool)
@@ -355,23 +354,16 @@ def subset_product_enumerate(
         raise CapacityError(f"pool size {n} exceeds exhaustive-scan cap {ENUMERATE_LIMIT}")
     target %= modulus
     cap = max_size if max_size is not None else n
-    s = _search_modulus(modulus, n)
-    masks = _scan_masks(pool, s, target % s, min_size, cap)
-    if len(masks) > _RECHECK_BUDGET and s != modulus:  # products crowd a few residues mod s
-        s, masks = modulus, _scan_masks(pool, modulus, target, min_size, cap)
-    # a match mod s counts only if it holds mod the modulus too
-    return [tuple(i for i in range(n) if mask >> i & 1)
-            for mask in masks if s == modulus or _product(pool, mask, modulus) == target]
-
-
-def _scan_masks(pool, s: int, target: int, min_size: int, cap: int) -> list[int]:
-    """The masks, ascending, whose subsets hit the target mod s with a size in
-    [min_size, cap]."""
+    cols = _columns(modulus)
     masks: list[int] = []
-    for start, prods, sizes in _mask_blocks(pool, s, 1):
-        hit = (prods == target) & (sizes >= min_size) & (sizes <= cap)
-        masks += (np.flatnonzero(hit) + start).tolist()
-    return masks
+    for start, sizes, ((t, f), *parts) in _mask_blocks(pool, cols, 1):
+        # t * f = target iff t = target / f: f is a product of units
+        at = np.flatnonzero(t == target * pow(f, -1, cols[0]) % cols[0])
+        for (t, f), c in zip(parts, cols[1:]):
+            at = at[t[at] == target * pow(f, -1, c) % c]
+        size = sizes[at]
+        masks += (at[(size >= min_size) & (size <= cap)] + start).tolist()
+    return [tuple(i for i in range(n) if mask >> i & 1) for mask in masks]
 
 
 @dataclass(frozen=True)

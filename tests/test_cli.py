@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from carmkit import arith, cli, korselt, pipeline, sieve, solver
+from carmkit import _kernels, arith, cli, korselt, pipeline, sieve, solver
 from carmkit.errors import DomainError, UnfactoredError
 from carmkit.korselt import Census, census
 from carmkit.solver import AssemblySpec
@@ -519,11 +519,8 @@ def test_cli_construct_agp_k0_scan_cap(capsys):
         assert (code, out) == (3, "") and cap in err
 
 
-def test_cli_construct_agp_miss_searches_int64_blocks(capsys, monkeypatch):
-    # agp moduli M*L are far above 2**31, yet the search and the exhaustive scan
-    # of a 24-prime miss form their products mod a block of M*L below 2**31
-    from carmkit import _kernels
-
+def spy_moduli(monkeypatch):
+    """The moduli every table of subset products is formed mod, in call order."""
     moduli, products = [], _kernels.all_subset_products
 
     def spy(res, m):
@@ -531,6 +528,13 @@ def test_cli_construct_agp_miss_searches_int64_blocks(capsys, monkeypatch):
         return products(res, m)
 
     monkeypatch.setattr(_kernels, "all_subset_products", spy)
+    return moduli
+
+
+def test_cli_construct_agp_miss_searches_int64_blocks(capsys, monkeypatch):
+    # agp moduli M*L are far above 2**31, yet the search and the exhaustive scan
+    # of a 24-prime miss form their products mod the int64 columns of M*L
+    moduli = spy_moduli(monkeypatch)
     code, out, err = run_cli(capsys, "construct", "--mode", "agp", "--modulus", "1",
                              "--residue", "0", "--y", "40", "--theta", "1.3", "--B", "2/5",
                              "--x-cap", "1000000000000", "--k-cap", "100", "--pool-cap", "24",
@@ -538,8 +542,26 @@ def test_cli_construct_agp_miss_searches_int64_blocks(capsys, monkeypatch):
     assert code == 1
     assert err == ("no qualifying subset in pool of 24 primes; "
                    "exhaustive scan of 16777216 subsets confirms none exists\n")
-    assert len(moduli) == 3  # two halves for the search, one low-bits table for the scan
+    # two columns, each for both halves of the search and the scan's low-bits table
+    assert len(moduli) == 6
     assert all(m < _kernels.INT64_MOD_LIMIT for m in moduli), moduli
+
+
+@pytest.mark.parametrize(("argv", "code", "out_end", "err"), [
+    ("--format csv construct --modulus 37 --residue 5 --lambda 5354228880 --pool-cap 40", 0,
+     "121129872795075933788265096470641,41|47|67|127|137|191|211|277|337|397|409|419|457"
+     "|461,erdos,0,5354228880,37,5\n", ""),
+    ("construct --mode agp --modulus 1 --residue 0 --y 30 --theta 1.5 --B 2/5 --x-cap"
+     " 1000000000000 --k-cap 500 --no-qr-filter --no-residue-filter --pool-cap 40", 1,
+     '"pool_cap":40}}\n', "no qualifying subset in pool of 40 primes\n"),
+], ids=["erdos-m37-hit", "agp-pool-40-miss"])
+def test_cli_construct_40_primes_above_2_31(argv, code, out_end, err, capsys, monkeypatch):
+    # Lambda = 720720 * 17 * 19 * 23 with M = 37, and M*L = 59 * 67 * ... * 163: both
+    # moduli pass 2**31, and both searches form every table mod a column below it
+    moduli = spy_moduli(monkeypatch)
+    got = run_cli(capsys, *argv.split())
+    assert (got[0], got[2]) == (code, err) and got[1].endswith(out_end), got
+    assert moduli and all(m < _kernels.INT64_MOD_LIMIT for m in moduli), moduli
 
 
 def test_cli_output_file(tmp_path, capsys):

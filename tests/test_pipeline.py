@@ -284,6 +284,24 @@ def test_agp_matches_independent_references():
                 ref["k0"], ref["L"], ref["pool"]), (key, a)
 
 
+def test_pool_rule_reads_L_only_through_its_primes(monkeypatch):
+    # find_k0, build_pool and erdos_pool never form L itself: over an L of
+    # thousands of primes, a gcd with L per k or M*L mod p per candidate costs
+    # about a millisecond each. The references are refs.json's, QR filter on and off
+    refs = json.loads(REFS.read_text(encoding="utf-8"))
+    monkeypatch.setattr(arith.Factorization, "value", lambda self: pytest.fail("L was formed"))
+    for key in ("40:1.5:3:1000000000000:100:30:0", "40:1.5:3:1000000000000:100:32:1"):
+        y, theta, M, x_cap, k_cap, cap, filters = key.split(":")
+        for a, ref in refs["agp"][key].items():
+            params = ConstructionParams(
+                M=int(M), a=int(a), mode="agp", y=int(y), theta=float(theta), B=Fraction(2, 5),
+                caps=Caps(x_cap=int(x_cap), k_cap=int(k_cap), pool_cap=int(cap)),
+                filters=PoolFilters(filters == "1", filters == "1"))
+            state = pipeline.run_agp_construction(params)
+            assert (state.k0, list(state.pool)) == (ref["k0"], ref["pool"]), (key, a)
+    assert pipeline.erdos_pool(720720, 19, 40) == refs["erdos"]["720720:19:40:None"]["pool"]
+
+
 def test_pool_rule_keeps_sieving_primes():
     # p = d*k + 1 <= 53 may be a prime the grid sieves by: it stays in the pool,
     # while its multiples, such as 4 = 3*1 + 1 or 21 = 5*4 + 1, are struck

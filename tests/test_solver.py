@@ -16,10 +16,10 @@ from carmkit.errors import (
 )
 from carmkit.solver import AssemblySpec
 
-# above 2**31 the searches run mod a block s of the modulus and re-check each
-# match exactly: s = 4096 for 2**12 * P (pools of up to 24, thousands of spurious
-# matches; beyond that Python ints mod m), s = 3 * 59 * 61 * 67 * 71 for the agp
-# shape 3 * (primes 59..163), s = 1 for the prime P (Python ints past 12 elements)
+# above 2**31 the searches run on the CRT columns of the modulus: 4096 and the
+# Python-int column P for 2**12 * P, where every element of a crowded pool
+# matches mod 4096; six int64 columns, the last 157 * 163, for the agp shape
+# 3 * (primes 59..163); the prime P alone as one Python-int column
 P = 10**21 + 117
 AGP_SHAPE = 3 * math.prod(p for p in range(59, 164) if arith.is_prime(p))
 
@@ -182,8 +182,8 @@ def test_subset_enumerate_blocks_keep_mask_order():
 
 
 def test_subset_enumerate_memory_above_int64_moduli():
-    # a prime modulus >= 2**31 has no block to search mod, so 18 elements hold
-    # products as Python ints: all 2**18 at once take ~16 MiB
+    # a prime modulus >= 2**31 is one column of Python ints, so 18 elements
+    # hold products as Python ints: all 2**18 at once take ~16 MiB
     # (18, not 20 elements: tracemalloc slows each Python-int product ~40x)
     pool = [p for p in range(3, 80, 2) if arith.is_prime(p)][:18]
     m = (1 << 32) + 15
@@ -198,10 +198,31 @@ def test_subset_enumerate_memory_above_int64_moduli():
     assert peak < 8 << 20, peak
 
 
+def test_subset_enumerate_crowded_column_memory():
+    # 24 elements that are all 1 mod the column 4096 match there at every mask;
+    # the second column is tested only where the first holds, one block at a
+    # time, so no list of matches outgrows a block
+    q = 2**31 - 1
+    m = 2**12 * q
+    rng = random.Random(97)
+    pool = [1 + 4096 * rng.randrange(1, q) for _ in range(24)]
+    chosen = (1, 6, 14, 22)
+    target = math.prod(pool[i] for i in chosen) % m
+    tracemalloc.start()
+    try:
+        hits = solver.subset_product_enumerate(pool, m, target, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chosen in hits and hits == sorted(hits, key=lambda t: sum(1 << i for i in t))
+    assert all(math.prod(pool[i] for i in hit) % m == target for hit in hits)
+    assert peak < 8 << 20, peak
+
+
 @pytest.mark.parametrize("m", [2**12 * P, AGP_SHAPE], ids=["2**12*(1e21+117)", "agp-shape"])
 def test_subset_enumerate_block_matches_full_table(m):
-    # matches mod the block s that fail mod m are dropped, and the rest keep
-    # mask order: the exact table of all 2**n products is the oracle
+    # each column is tested only where the ones before it hold, and the hits
+    # keep mask order: the exact table of all 2**n products is the oracle
     rng = random.Random(61)
     for n in (12, 17, 20):
         pool = []
@@ -221,9 +242,10 @@ def test_subset_enumerate_block_matches_full_table(m):
         assert len(solver.subset_product_enumerate(pool, m, pool[2] * pool[7] % m, 2, 2)) == 2
 
 
-def test_block_search_crowded_residues_go_mod_m(monkeypatch):
-    # every element is 1 mod the block s = 4096, so every pair of halves matches
-    # mod s: past the re-check budget both searches run mod m, with the same answers
+def test_block_search_crowded_residues_stay_in_columns(monkeypatch):
+    # every element is 1 mod the column 4096, so every pair of halves matches
+    # there; the digest of both columns tells them apart, the scan tests the
+    # column P only where 4096 holds, and no table is formed mod m
     m = 2**12 * P
     rng = random.Random(67)
     pool = [1 + 4096 * rng.randrange(1, P) for _ in range(20)]
@@ -237,15 +259,27 @@ def test_block_search_crowded_residues_go_mod_m(monkeypatch):
     for target in (pool[3] * pool[8] * pool[15] % m, 1 + 4096 * rng.randrange(1, P)):
         moduli.clear()
         got = solver.subset_product_find(pool, m, target, 2)
-        assert moduli == [4096, 4096, m, m]
+        assert moduli == [4096, P, 4096, P]
         assert got == find_mitm_dict(pool, m, target, 2)
         moduli.clear()
         got = solver.subset_product_enumerate(pool, m, target, 2)
-        assert moduli == [4096, m]
+        assert moduli == [4096, P]
         prods, sizes = products(pool, m)
         want = np.flatnonzero((prods == target) & (sizes >= 2)).tolist()
         assert got == [tuple(i for i in range(20) if mask >> i & 1) for mask in want]
     assert got == []  # the second target is out of reach
+
+
+def test_subset_find_confirms_digest_collisions():
+    # the Python-int column is reduced mod the digest's fold prime q, so with
+    # q | m, elements 1 mod q share one digest: every key matches, and only the
+    # confirmation mod m tells the partners apart
+    q = solver._DIGEST_MOD
+    m = q * P
+    rng = random.Random(101)
+    pool = [1 + q * rng.randrange(1, P) for _ in range(12)]
+    for target in (math.prod(pool[i] for i in (1, 4, 9)) % m, 1 + q * rng.randrange(1, P)):
+        assert solver.subset_product_find(pool, m, target, 3) == find_mitm_dict(pool, m, target, 3)
 
 
 def test_subset_find_agrees_with_enumerate():
@@ -417,16 +451,32 @@ def mitm_case(rng, m, n, kind):
     return pool, m, target % m, min_size, max_size
 
 
-def test_search_modulus_rule():
-    search = solver._search_modulus
-    assert search(2**31 - 1, 40) == 2**31 - 1  # below 2**31 the modulus itself
-    # prime powers in ascending order while the block stays below 2**31
-    assert [search(2**12 * P, n) for n in (1, 24, 25)] == [4096, 4096, 2**12 * P]
-    assert search(AGP_SHAPE, 37) == 3 * 59 * 61 * 67 * 71 and search(AGP_SHAPE, 38) == AGP_SHAPE
-    assert search(2**30 * 3 * P, 1) == 2**30  # 3 * 2**30 would pass 2**31
-    assert search(2**29 * 3 * P, 1) == 2**29 * 3
-    assert search(5**14 * 2 * P, 1) == 2  # 5**14 alone passes 2**31
-    assert [search(P, n) for n in (12, 13)] == [1, P]  # no factor below TRIAL_BOUND
+def test_columns():
+    columns = solver._columns
+    limit = _kernels.INT64_MOD_LIMIT
+    # below 2**31 the modulus itself
+    assert [columns(m) for m in (1, 720720 * 19, limit - 1)] == [[1], [720720 * 19], [limit - 1]]
+    # prime powers in ascending order, grouped while a column stays below 2**31
+    assert columns(AGP_SHAPE) == [3 * 59 * 61 * 67 * 71, 73 * 79 * 83 * 89, 97 * 101 * 103 * 107,
+                                  109 * 113 * 127 * 131, 137 * 139 * 149 * 151, 157 * 163]
+    assert columns(2**30 * 3 * P) == [2**30, 3, P]  # 3 * 2**30 would pass 2**31
+    assert columns(2**12 * (limit - 1)) == [4096, limit - 1]  # a prime below 2**31 of its own
+    # factors past TRIAL_BOUND, and prime powers of 2**31 or more, make the rest column
+    assert columns(2**12 * P) == [4096, P]
+    assert columns(3 * 100003 * 100019) == [3, 100003 * 100019]
+    assert columns(5**14 * 2 * P) == [2, 5**14 * P]
+    assert columns(P) == [P] and columns(2**40) == [2**40]
+    rng = random.Random(89)
+    for _ in range(200):
+        m = math.prod(rng.choice((2, 3, 5, 7, 59, 163, 16381, 65521, limit - 1, 100003, P))
+                      ** rng.randint(0, 3) for _ in range(4))
+        cols = columns(m)
+        assert math.prod(cols) == m, m
+        assert all(math.gcd(a, b) == 1 for i, a in enumerate(cols) for b in cols[i + 1 :]), m
+        assert all(c < limit for c in cols[:-1]), m  # only the last may hold Python ints
+        if cols[-1] >= limit:  # the rest holds no power below 2**31 of a prime to TRIAL_BOUND
+            powers = [math.gcd(cols[-1], p**64) for p in (2, 3, 5, 7, 59, 163, 16381, 65521)]
+            assert all(q == 1 or q >= limit for q in powers), m
 
 
 @pytest.mark.parametrize("moduli", [
