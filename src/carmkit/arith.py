@@ -221,26 +221,29 @@ def _pollard_brent(n: int, seed: int, budget: int) -> tuple[int, int]:
     return (g if 1 < g < n else n), used
 
 
-def trial_division(n: int) -> tuple[dict[int, int], int]:
-    """({p: e}, rest): n >= 1 split by trial division to TRIAL_BOUND into p**e || n and a rest."""
-    found: dict[int, int] = {}
+def trial_division(n: int) -> Iterator[tuple[int, int]]:
+    """The pairs (p, e) with p**e || n >= 1 that trial division to TRIAL_BOUND
+    finds, ascending as it finds them, then (rest, 0) for a rest > 1 it
+    leaves unfactored. A caller that stops early pays for no more division."""
     for p in (2, 3, 5):
+        e = 0
         while n % p == 0:
-            found[p] = found.get(p, 0) + 1
-            n //= p
+            e, n = e + 1, n // p
+        if e:
+            yield p, e
     d = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)  # gaps coprime to 2,3,5
     w = 0
     while d * d <= n and d <= TRIAL_BOUND:
+        e = 0
         while n % d == 0:
-            found[d] = found.get(d, 0) + 1
-            n //= d
+            e, n = e + 1, n // d
+        if e:
+            yield d, e
         d += wheel[w]
         w = (w + 1) % 8
-    if n > 1 and d * d > n:
-        found[n] = found.get(n, 0) + 1
-        n = 1
-    return found, n
+    if n > 1:
+        yield n, int(d * d > n)  # past sqrt(n), the rest is prime
 
 
 def factorize(n: int) -> Factorization:
@@ -252,9 +255,10 @@ def factorize(n: int) -> Factorization:
     """
     if n < 1:
         raise DomainError(f"factorize requires n >= 1, got {n}")
-    found, n = trial_division(n)
+    found = dict(trial_division(n))
+    stack = [p for p, e in found.items() if not e]  # the rest trial division leaves
+    found = {p: e for p, e in found.items() if e}
     remaining = RHO_BUDGET
-    stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
         if m == 1:

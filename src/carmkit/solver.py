@@ -9,13 +9,17 @@ modulus. It and the scan form their masks' products block by block, small
 blocks first (see _mask_blocks), so a search whose first hit comes early forms
 few of them.
 
-Columns. Both form their products mod the CRT columns of the modulus m (see
-_columns), all int64 below 2**31 but one of Python ints for what trial
-division leaves. The scan tests each column only where the ones before it
-hold, so its hits are exact. Meet-in-the-middle keys on the columns folded
-into one int64 below 2**38 (see _digest), which unequal residues share about
-2**(n - 38) times in a search of n elements, so a match counts only once the
-subset's product is the target mod m: the witness does not depend on columns.
+Columns. Both form their products mod CRT columns of the modulus m (see
+_columns): int64 moduli below 2**31, packed from the prime powers that trial
+division finds, then one column of Python ints for the rest. A search of n
+elements takes the first columns that carry n + 38 bits, or all of them. The scan tests each taken column only where the ones before it hold;
+meet-in-the-middle keys on the taken columns folded into one int64 below
+2**38 (see _fold). A match counts only once the subset's product is the
+target mod m, so the witness does not depend on columns. Over a pool spread
+across the taken columns, about 2**(n - 38) matches per search fail mod m,
+from the fold, and the columns left out add about 2**-38 more. A match that
+holds on the taken columns but fails mod m shows that the pool crowds them:
+the search then restarts on every column, where only the fold can mislead.
 
 Every pool element is a unit and the DP starts from 1, so the DP table
 covers the phi(m) units only, with one axis of phi(q) positions per prime
@@ -57,9 +61,9 @@ MITM_LIMIT = 40
 ENUMERATE_LIMIT = 24
 DP_CELL_BOUND = 200_000_000
 _MASK_BLOCK = 1 << 14  # the longest block of masks _mask_blocks forms at once
-# _digest's fold: a prime below 2**38, so a key (digest * 21 + size) << 20 fits
-# in int64, and a multiplier below 2**25, so d * _DIGEST_MUL + r does too
-_DIGEST_MOD, _DIGEST_MUL = (1 << 38) - 45, (1 << 25) - 39
+# _fold: digests below 2**38, so a key (digest * 21 + size) << 20 fits in
+# int64, and a multiplier below 2**25, so d * _DIGEST_MUL + r does too
+_DIGEST_BITS, _DIGEST_MUL = 38, (1 << 25) - 39
 
 
 @dataclass(frozen=True)
@@ -173,33 +177,53 @@ def _validate_pool(pool, modulus: int, min_size: int, max_size: int | None) -> l
     return pool
 
 
-def _columns(m: int) -> list[int]:
-    """The CRT columns of m: [m] below 2**31; above, the prime powers that trial
-    division finds packed, ascending, into int64 columns, then the rest."""
+def _columns(m: int, bits: int) -> list[int]:
+    """The first CRT columns of m that carry ``bits`` bits, or all of them:
+    [m] below 2**31; above, the prime powers below 2**31 that trial division
+    finds, packed in ascending order into int64 columns below 2**31, and last
+    one column of Python ints for the rest and any prime power of 2**31 or
+    more. Trial division stops once the columns carry the bits."""
     limit = _kernels.INT64_MOD_LIMIT
     if m < limit:
         return [m]
-    found, rest = trial_division(m)
-    cols: list[int] = []
-    for q in (p**e for p, e in sorted(found.items())):
-        if q >= limit:
-            rest *= q
-        elif cols and cols[-1] * q < limit:
-            cols[-1] *= q
-        else:
-            cols.append(q)
-    return cols + [rest] if rest > 1 else cols
+    cols, col, big, span = [], 1, 1, 1
+    for p, e in trial_division(m):
+        q = p**e if e else p  # e = 0: p is the rest trial division leaves
+        if not e or q >= limit:
+            big *= q
+            continue
+        if col * q >= limit:
+            cols.append(col)
+            span *= col
+            if span >> bits:
+                return cols
+            col = 1
+        col *= q
+    if col > 1:
+        cols.append(col)
+        span *= col
+    return cols + [big] if big > 1 and not span >> bits else cols
 
 
-def _digest(residues, cols) -> np.ndarray:
-    """The per-column ``residues`` folded, per entry, into one int64 below 2**38:
-    d -> (d * _DIGEST_MUL + r) % _DIGEST_MOD, a lone int64 column kept as it is."""
-    if cols[-1] >= _kernels.INT64_MOD_LIMIT:
-        residues = [*residues[:-1], (residues[-1] % _DIGEST_MOD).astype(np.int64)]
-    d = residues[0]
-    for r in residues[1:]:
-        d = (d * _DIGEST_MUL + r) % _DIGEST_MOD
+def _fold(d, r, c: int, q: int) -> np.ndarray:
+    """The digest d (None before the first column) with the residues r mod the
+    column c folded in, entry by entry, mod the fold prime q: d -> (d *
+    _DIGEST_MUL + r) % q, so a lone int64 column is its own digest. A prime q
+    that divided a column of Python ints would give one digest to all its
+    residues that agree mod q."""
+    if c >= _kernels.INT64_MOD_LIMIT:
+        r = (r % q).astype(np.int64)
+    if d is None:
+        return r
+    d *= _DIGEST_MUL  # in place: a fold holds two arrays at once
+    d += r
+    d %= q
     return d
+
+
+def _product(elems, mask: int, m: int) -> int:
+    """The product mod m of the elements whose bits are set in mask."""
+    return math.prod(e for i, e in enumerate(elems) if mask >> i & 1) % m
 
 
 def _left_blocks(total: int):
@@ -228,20 +252,27 @@ def _mask_blocks(elems, cols, scale: int):
                [(lp[off : off + stop - start], f % c) for (lp, _), c in zip(tables, cols)])
 
 
-def _find_mitm(pool, modulus, target, min_size, max_size):
+def _find_mitm(pool, modulus, target, min_size, max_size, bits):
     """First left mask (in mask order) with a right partner, and for it the
-    right mask of least size, then least mask, that completes the target:
-    keys match on digests, and a match counts once confirmed mod the modulus."""
+    right mask of least size, then least mask, that completes the target.
+    Keys hold the digest of the first columns that carry ``bits`` bits, and a
+    match counts once confirmed mod the modulus; one that holds on those
+    columns but not mod the modulus restarts the search on every column."""
     n = len(pool)
     nb = n // 2
     left, right = pool[: n - nb], pool[n - nb :]
     cap = max_size if max_size is not None else n
-    cols = _columns(modulus)
+    cols = _columns(modulus, bits)
+    span, q = math.prod(cols), (1 << _DIGEST_BITS) - 45  # the largest prime below 2**38
+    while cols[-1] % q == 0:  # a column of Python ints enters the digest mod q: q must not divide it
+        q = next(p for p in range(q - 2, 0, -2) if is_prime(p))
     # right half: one key per mask ordering (digest, size, mask); the keys are
     # distinct and below 2**38 * 21 * 2**20 < 2**63 (nb <= 20)
     w = nb + 1
-    table, rs = zip(*(_kernels.all_subset_products([e % c for e in right], c) for c in cols))
-    table, rs = _digest(table, cols), rs[0]
+    table = None
+    for c in cols:  # each column's table is folded in as it is formed
+        products, rs = _kernels.all_subset_products([e % c for e in right], c)
+        table = _fold(table, products, c, q)
     table *= w  # in place: the keys take no more memory than the digests
     table += rs
     table <<= nb
@@ -250,7 +281,10 @@ def _find_mitm(pool, modulus, target, min_size, max_size):
     # left half: the digest of the product each left mask needs from the right
     inverses = [pow(e, -1, modulus) for e in left]
     for start, sizes, parts in _mask_blocks(inverses, cols, target):
-        base = _digest([t * f % c for (t, f), c in zip(parts, cols)], cols) * w
+        base = None
+        for (t, f), c in zip(parts, cols):
+            base = _fold(base, t * f % c, c, q)
+        base *= w
         sl = sizes.astype(np.int64)
         # right sizes allowed; hi <= nb keeps each lookup inside its digest's keys
         lo = np.maximum(min_size - sl, 0)
@@ -266,8 +300,11 @@ def _find_mitm(pool, modulus, target, min_size, max_size):
             end = bisect_left(table, (base[i] + int(hi[i]) + 1) << nb, lo=int(pos[i]))
             for key in table[pos[i] : end].tolist():
                 mask = start + int(i) | (key & ((1 << nb) - 1)) << len(left)
-                if math.prod(e for j, e in enumerate(pool) if mask >> j & 1) % modulus == target:
+                product = _product(pool, mask, modulus)
+                if product == target:
                     return tuple(j for j in range(n) if mask >> j & 1)
+                if (product - target) % span == 0:  # the pool crowds these columns
+                    return _find_mitm(pool, modulus, target, min_size, max_size, modulus.bit_length())
     return None
 
 
@@ -326,7 +363,8 @@ def subset_product_find(pool, modulus: int, target: int, min_size: int, max_size
     the right half as a sorted array of (digest, size, mask) keys and scans
     the left masks in mask order; it returns the first left mask that has a
     partner, with its least-size, then least-mask right partner. Keys hold
-    digests, and matches are confirmed, as the module docstring sets out.
+    digests of the taken columns, and matches are confirmed mod the modulus,
+    as the module docstring sets out.
     """
     pool = _validate_pool(pool, modulus, min_size, max_size)
     target %= modulus
@@ -335,7 +373,7 @@ def subset_product_find(pool, modulus: int, target: int, min_size: int, max_size
     if max_size is not None and max_size >= len(pool):
         max_size = None  # no larger subset exists; search as with no bound
     if len(pool) <= MITM_LIMIT:
-        return _find_mitm(pool, modulus, target, min_size, max_size)
+        return _find_mitm(pool, modulus, target, min_size, max_size, len(pool) + _DIGEST_BITS)
     return _find_dp(pool, modulus, target, min_size, max_size)
 
 
@@ -345,8 +383,8 @@ def subset_product_enumerate(
     """Every qualifying index subset, by full 2**n scan (n <= 24), ascending by mask.
 
     The masks go in the blocks of _mask_blocks, so memory stays
-    O(_MASK_BLOCK), and each block is tested one column at a time, as the
-    module docstring sets out.
+    O(_MASK_BLOCK) beside the hits, and each block is tested one taken column
+    at a time, as the module docstring sets out.
     """
     pool = _validate_pool(pool, modulus, min_size, max_size)
     n = len(pool)
@@ -354,7 +392,15 @@ def subset_product_enumerate(
         raise CapacityError(f"pool size {n} exceeds exhaustive-scan cap {ENUMERATE_LIMIT}")
     target %= modulus
     cap = max_size if max_size is not None else n
-    cols = _columns(modulus)
+    masks = _scan(pool, modulus, target, min_size, cap, n + _DIGEST_BITS)
+    return [tuple(i for i in range(n) if mask >> i & 1) for mask in masks]
+
+
+def _scan(pool, modulus: int, target: int, min_size: int, cap: int, bits: int) -> list[int]:
+    """The masks, ascending, that the scan keeps, tested on the first columns
+    that carry ``bits`` bits and confirmed as _find_mitm confirms its matches."""
+    cols = _columns(modulus, bits)
+    span = math.prod(cols)
     masks: list[int] = []
     for start, sizes, ((t, f), *parts) in _mask_blocks(pool, cols, 1):
         # t * f = target iff t = target / f: f is a product of units
@@ -362,8 +408,11 @@ def subset_product_enumerate(
         for (t, f), c in zip(parts, cols[1:]):
             at = at[t[at] == target * pow(f, -1, c) % c]
         size = sizes[at]
-        masks += (at[(size >= min_size) & (size <= cap)] + start).tolist()
-    return [tuple(i for i in range(n) if mask >> i & 1) for mask in masks]
+        for mask in (at[(size >= min_size) & (size <= cap)] + start).tolist():
+            if span < modulus and _product(pool, mask, modulus) != target:
+                return _scan(pool, modulus, target, min_size, cap, modulus.bit_length())
+            masks.append(mask)
+    return masks
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -270,16 +271,54 @@ def test_block_search_crowded_residues_stay_in_columns(monkeypatch):
     assert got == []  # the second target is out of reach
 
 
+def test_crowded_columns_restart_on_every_column(monkeypatch):
+    # every element is 1 mod the first three columns, which carry the n + 38
+    # bits a search takes first, so all keys meet there and every mask passes
+    # them; the first match that fails mod m restarts the search, and the
+    # scan, on every column
+    m = AGP_SHAPE * P
+    cols = solver._columns(m, m.bit_length())
+    head = math.prod(cols[:3])
+    rng = random.Random(71)
+    units = (e for e in iter(lambda: 1 + head * rng.randrange(1, m // head), 0)
+             if math.gcd(e, m) == 1)
+    pool = [next(units) for _ in range(17)]
+    pool, miss = pool[:16], pool[16]
+    moduli, products = [], _kernels.all_subset_products
+
+    def spy(res, mod):
+        moduli.append(mod)
+        return products(res, mod)
+
+    monkeypatch.setattr(_kernels, "all_subset_products", spy)
+    prods, sizes = products(pool, m)
+    for target in (pool[2] * pool[7] * pool[11] % m, miss):
+        moduli.clear()
+        assert solver.subset_product_find(pool, m, target, 2) == find_mitm_dict(pool, m, target, 2)
+        assert moduli == cols[:3] * 2 + cols * 2
+        moduli.clear()
+        want = np.flatnonzero((prods == target) & (sizes >= 2)).tolist()
+        got = solver.subset_product_enumerate(pool, m, target, 2)
+        assert got == [tuple(i for i in range(16) if mask >> i & 1) for mask in want]
+        assert moduli == cols[:3] + cols
+    assert got == []  # the second target is out of reach
+
+
 def test_subset_find_confirms_digest_collisions():
-    # the Python-int column is reduced mod the digest's fold prime q, so with
-    # q | m, elements 1 mod q share one digest: every key matches, and only the
-    # confirmation mod m tells the partners apart
-    q = solver._DIGEST_MOD
+    # m = q * P is one column of Python ints, and every element is 1 mod the
+    # prime q = 2**38 - 45: the digest reduces that column mod a fold prime
+    # that does not divide it, so the keys of unequal residues rarely meet,
+    # and each match is confirmed mod m
+    q = (1 << 38) - 45
     m = q * P
+    assert solver._columns(m, 58) == [m]
     rng = random.Random(101)
-    pool = [1 + q * rng.randrange(1, P) for _ in range(12)]
-    for target in (math.prod(pool[i] for i in (1, 4, 9)) % m, 1 + q * rng.randrange(1, P)):
-        assert solver.subset_product_find(pool, m, target, 3) == find_mitm_dict(pool, m, target, 3)
+    pool = [1 + q * rng.randrange(1, P) for _ in range(20)]
+    for target in (math.prod(pool[i] for i in (1, 4, 9, 17)) % m, 1 + q * rng.randrange(1, P)):
+        t = time.perf_counter()
+        got = solver.subset_product_find(pool, m, target, 3)
+        assert time.perf_counter() - t < 2.0  # about 0.2 s; with q as fold prime, over 5 s
+        assert got == find_mitm_dict(pool, m, target, 3)
 
 
 def test_subset_find_agrees_with_enumerate():
@@ -452,7 +491,9 @@ def mitm_case(rng, m, n, kind):
 
 
 def test_columns():
-    columns = solver._columns
+    def columns(m):
+        return solver._columns(m, m.bit_length())
+
     limit = _kernels.INT64_MOD_LIMIT
     # below 2**31 the modulus itself
     assert [columns(m) for m in (1, 720720 * 19, limit - 1)] == [[1], [720720 * 19], [limit - 1]]
@@ -466,6 +507,10 @@ def test_columns():
     assert columns(3 * 100003 * 100019) == [3, 100003 * 100019]
     assert columns(5**14 * 2 * P) == [2, 5**14 * P]
     assert columns(P) == [P] and columns(2**40) == [2**40]
+    # a search draws the first columns that carry the bits it needs, or all
+    assert solver._columns(AGP_SHAPE, 62) == columns(AGP_SHAPE)[:3]
+    assert solver._columns(2**12 * P, 12) == [4096]
+    assert solver._columns(2**12 * P, 13) == solver._columns(2**12 * P, 90) == [4096, P]
     rng = random.Random(89)
     for _ in range(200):
         m = math.prod(rng.choice((2, 3, 5, 7, 59, 163, 16381, 65521, limit - 1, 100003, P))
