@@ -140,9 +140,11 @@ def carmichael_segment(lo: int, hi: int, odd_primes: np.ndarray) -> np.ndarray:
         s[j::d] *= q
     hit = k[split:] < n
     np.multiply.at(s, k[split:][hit], p[split:][hit])  # several can share one entry
-    # v is formed only where s >= lo, as s == v needs: a second n-entry array
-    # per segment costs more in page faults than the whole strided loop
-    i = np.flatnonzero(s >= lo)
+    # v is formed only where s >= lo, as s == v needs, and s >= 561, the least
+    # Carmichael number: a second n-entry array per segment costs more in page
+    # faults than the whole strided loop, and from lo = 3 every entry with one
+    # Korselt prime would pass s >= lo alone
+    i = np.flatnonzero(s >= max(lo, 561))
     flags = np.zeros(n, dtype=np.uint8)
     flags[i[s[i] == lo + 2 * i]] = 1
     return flags

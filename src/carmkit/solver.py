@@ -3,16 +3,19 @@
 The searches are explicit and complete: meet-in-the-middle for pools up to 40
 elements, a layered DP over the unit group (Z/m)^x with witness reconstruction
 beyond that, and a full 2**n scan as the exhaustive oracle for small pools.
-Meet-in-the-middle sorts one half's subsets as (digest, size, mask) keys and
-binary-searches them for each mask of the other half, in mask order, for any
-modulus. It and the scan form their masks' products block by block, small
-blocks first (see _mask_blocks), so a search whose first hit comes early forms
-few of them.
+Meet-in-the-middle keeps one half's subsets as sorted (digest, size, mask)
+keys and binary-searches them for each mask of the other half, in mask order,
+for any modulus. It and the scan form their masks' products block by block,
+small blocks first (see _mask_blocks), so a search whose first hit comes early
+forms few of them. Meet-in-the-middle's first block of 2**8 masks looks up
+only the keys whose digest one of its masks needs (see _meeting); it packs and
+sorts the whole half's keys only when that block has no match.
 
 Columns. Both form their products mod CRT columns of the modulus m (see
 _columns): int64 moduli below 2**31, packed from the prime powers that trial
 division finds, then one column of Python ints for the rest. A search of n
-elements takes the first columns that carry n + 38 bits, or all of them. The scan tests each taken column only where the ones before it hold;
+elements takes the first columns that carry n + 38 bits, or all of them. The
+scan tests each taken column only where the ones before it hold;
 meet-in-the-middle keys on the taken columns folded into one int64 below
 2**38 (see _fold). A match counts only once the subset's product is the
 target mod m, so the witness does not depend on columns. Over a pool spread
@@ -252,12 +255,42 @@ def _mask_blocks(elems, cols, scale: int):
                [(lp[off : off + stop - start], f % c) for (lp, _), c in zip(tables, cols)])
 
 
+def _right_keys(digests, sizes, masks, nb: int) -> np.ndarray:
+    """The right half's keys (digest, size, mask) of the given masks, sorted,
+    packed in place into ``digests``: distinct, and below 2**38 * 21 * 2**20
+    < 2**63 (nb <= 20)."""
+    digests *= nb + 1
+    digests += sizes
+    digests <<= nb
+    digests |= masks
+    digests.sort()
+    return digests
+
+
+def _meeting(digests, needles) -> np.ndarray:
+    """The indices, ascending, of the digests that may equal one of the first
+    block's 2**8 ``needles``: every digest that does, and about one other in
+    2**8, which no lookup matches. Each digest has one of 2**16 slots, the
+    top 16 bits of its product with 2**64 / golden ratio (mod 2**64), so
+    digests that agree in their low bits still spread over the slots."""
+    mul, shift = np.uint64(0x9E3779B97F4A7C15), np.uint64(48)
+    slots = np.zeros(1 << 16, dtype=bool)
+    slots[needles.view(np.uint64) * mul >> shift] = True
+    passed = np.empty(digests.shape[0], dtype=bool)
+    for i in range(0, passed.shape[0], _MASK_BLOCK):  # a block at a time keeps the temporaries small
+        slots.take(digests[i : i + _MASK_BLOCK].view(np.uint64) * mul >> shift, out=passed[i : i + _MASK_BLOCK])
+    return np.flatnonzero(passed)
+
+
 def _find_mitm(pool, modulus, target, min_size, max_size, bits):
     """First left mask (in mask order) with a right partner, and for it the
     right mask of least size, then least mask, that completes the target.
     Keys hold the digest of the first columns that carry ``bits`` bits, and a
     match counts once confirmed mod the modulus; one that holds on those
-    columns but not mod the modulus restarts the search on every column."""
+    columns but not mod the modulus restarts the search on every column.
+    The first left block looks its masks up among only the right keys whose
+    digest one of them needs; the whole right table is sorted only when that
+    block has no match."""
     n = len(pool)
     nb = n // 2
     left, right = pool[: n - nb], pool[n - nb :]
@@ -266,39 +299,42 @@ def _find_mitm(pool, modulus, target, min_size, max_size, bits):
     span, q = math.prod(cols), (1 << _DIGEST_BITS) - 45  # the largest prime below 2**38
     while cols[-1] % q == 0:  # a column of Python ints enters the digest mod q: q must not divide it
         q = next(p for p in range(q - 2, 0, -2) if is_prime(p))
-    # right half: one key per mask ordering (digest, size, mask); the keys are
-    # distinct and below 2**38 * 21 * 2**20 < 2**63 (nb <= 20)
+    # right half: the digest and size of each mask's product
     w = nb + 1
     table = None
     for c in cols:  # each column's table is folded in as it is formed
         products, rs = _kernels.all_subset_products([e % c for e in right], c)
         table = _fold(table, products, c, q)
-    table *= w  # in place: the keys take no more memory than the digests
-    table += rs
-    table <<= nb
-    table |= np.arange(1 << nb)
-    table.sort()
     # left half: the digest of the product each left mask needs from the right
     inverses = [pow(e, -1, modulus) for e in left]
+    keys = None
     for start, sizes, parts in _mask_blocks(inverses, cols, target):
         base = None
         for (t, f), c in zip(parts, cols):
             base = _fold(base, t * f % c, c, q)
+        if keys is None:  # the first block: only the keys its needles can meet
+            at = _meeting(table, base)
+            # when every digest meets it, the first block's keys are the whole table's
+            keys = _right_keys(table if at.shape[0] == table.shape[0] else table[at], rs[at], at, nb)
+        elif keys is not table:  # the first block missed: every key, packed in place
+            keys = _right_keys(table, rs, np.arange(1 << nb), nb)
+        if not keys.shape[0]:  # no right digest meets the first block
+            continue
         base *= w
         sl = sizes.astype(np.int64)
         # right sizes allowed; hi <= nb keeps each lookup inside its digest's keys
         lo = np.maximum(min_size - sl, 0)
         hi = np.minimum(cap - sl, nb)
         needles = (base + lo) << nb
-        order = np.argsort(needles)  # ascending needles walk the table in order
+        order = np.argsort(needles)  # ascending needles walk the keys in order
         pos = np.empty_like(order)
-        pos[order] = np.searchsorted(table, needles[order])
-        entry = table[np.minimum(pos, table.shape[0] - 1)]
-        hits = np.flatnonzero((lo <= hi) & (pos < table.shape[0]) & ((entry >> nb) <= base + hi))
+        pos[order] = np.searchsorted(keys, needles[order])
+        entry = keys[np.minimum(pos, keys.shape[0] - 1)]
+        hits = np.flatnonzero((lo <= hi) & (pos < keys.shape[0]) & ((entry >> nb) <= base + hi))
         for i in hits:  # one at a time: the first confirmed match ends the search
             # its keys run from pos to the first key past its largest allowed size
-            end = bisect_left(table, (base[i] + int(hi[i]) + 1) << nb, lo=int(pos[i]))
-            for key in table[pos[i] : end].tolist():
+            end = bisect_left(keys, (base[i] + int(hi[i]) + 1) << nb, lo=int(pos[i]))
+            for key in keys[pos[i] : end].tolist():
                 mask = start + int(i) | (key & ((1 << nb) - 1)) << len(left)
                 product = _product(pool, mask, modulus)
                 if product == target:
@@ -362,9 +398,11 @@ def subset_product_find(pool, modulus: int, target: int, min_size: int, max_size
     Meet-in-the-middle splits the pool into a left and a right half, keeps
     the right half as a sorted array of (digest, size, mask) keys and scans
     the left masks in mask order; it returns the first left mask that has a
-    partner, with its least-size, then least-mask right partner. Keys hold
-    digests of the taken columns, and matches are confirmed mod the modulus,
-    as the module docstring sets out.
+    partner, with its least-size, then least-mask right partner. The first
+    2**8 left masks look up only the right keys whose digest they need, and
+    the whole right half is sorted only when none of them has a partner.
+    Keys hold digests of the taken columns, and matches are confirmed mod the
+    modulus, as the module docstring sets out.
     """
     pool = _validate_pool(pool, modulus, min_size, max_size)
     target %= modulus

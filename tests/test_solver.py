@@ -291,11 +291,17 @@ def test_crowded_columns_restart_on_every_column(monkeypatch):
         return products(res, mod)
 
     monkeypatch.setattr(_kernels, "all_subset_products", spy)
+    seen, blocks = [], solver._left_blocks
+    monkeypatch.setattr(solver, "_left_blocks", lambda total: (
+        seen.append(block) or block for block in blocks(total)))
     prods, sizes = products(pool, m)
     for target in (pool[2] * pool[7] * pool[11] % m, miss):
         moduli.clear()
+        seen.clear()
         assert solver.subset_product_find(pool, m, target, 2) == find_mitm_dict(pool, m, target, 2)
         assert moduli == cols[:3] * 2 + cols * 2
+        # 2**8 left masks are one block: the first block's lookup raises the restart
+        assert seen == [(0, 256)] * 2
         moduli.clear()
         want = np.flatnonzero((prods == target) & (sizes >= 2)).tolist()
         got = solver.subset_product_enumerate(pool, m, target, 2)
@@ -601,6 +607,69 @@ def test_subset_find_mitm_first_hit_at_block_edges(m):
         assert sum(1 << i for i in got if i < nl) == lmask
 
 
+@pytest.mark.parametrize("m", [2**17 * EDGE_Q, 2**17 * EDGE_Q * P], ids=["below-2**31", "above"])
+def test_subset_find_mitm_first_block_shared_needles_and_size_bounds(m):
+    # the left half repeats three units, so many masks of the first block
+    # share one needle; four right units are 1 mod m, so each right digest has
+    # partners of several sizes, and the size bounds reject the small ones
+    rng = random.Random(97)
+    units = [u for u in (rng.randrange(2, m) for _ in range(20)) if math.gcd(u, m) == 1]
+    ones = [1 + m * rng.randrange(1, 99) for _ in range(4)]
+    pool = [units[i % 3] for i in range(9)] + ones + units[3:8]
+    padded = 0
+    for _ in range(12):
+        chosen = rng.sample(range(8), rng.randint(0, 4)) + rng.sample(range(13, 18), rng.randint(1, 3))
+        target = math.prod(pool[i] for i in chosen) % m
+        k = len(chosen)
+        for min_size, max_size in ((1, None), (k, k), (k + 2, None), (k + 3, k + 4)):
+            got = solver.subset_product_find(pool, m, target, min_size, max_size)
+            assert got == find_mitm_dict(pool, m, target, min_size, max_size), (chosen, min_size)
+            padded += got is not None and not set(got).isdisjoint(range(9, 13))
+    assert padded  # some bounds rejected every right partner without a 1 mod m
+
+
+def test_subset_find_mitm_first_block_crowded_digests(monkeypatch):
+    # every element is 1 mod m, so for the target 1 every right digest meets
+    # the first block's needle: its keys are the whole right half, packed in
+    # place once; the target 3 meets none, and the later blocks look up the
+    # whole right half
+    m = 2**17 * EDGE_Q
+    rng = random.Random(103)
+    pool = [1 + m * rng.randrange(1, 1 << 20) for _ in range(32)]
+    packed, right_keys = [], solver._right_keys
+    monkeypatch.setattr(solver, "_right_keys", lambda d, *rest: (
+        packed.append(d.shape[0]) or right_keys(d, *rest)))
+    for target, want in ((1, [1 << 16]), (3, [0, 1 << 16])):
+        packed.clear()
+        t = time.perf_counter()
+        got = solver.subset_product_find(pool, m, target, 20, 20)
+        assert time.perf_counter() - t < 2.0
+        assert got == find_mitm_dict(pool, m, target, 20, 20)
+        assert packed == want
+    assert solver.subset_product_find(pool, m, 1, 20, 20) == (0, 1, 2, 3, *range(16, 32))
+
+
+def test_subset_find_mitm_whole_table_only_after_first_block_misses(monkeypatch):
+    # a hit in the first block sorts only the keys its needles meet; a hit
+    # past it sorts those and then every right key. The right units are all
+    # 1 mod 2**17, so their digests agree in their low 17 bits: the slots
+    # tell them apart by the high bits of a product
+    m, nl, nb = 2**17 * EDGE_Q, 15, 14
+    rng = random.Random(107)
+    pool = tagged_pool(rng, m, nl, nb)
+    packed, right_keys = [], solver._right_keys
+    monkeypatch.setattr(solver, "_right_keys", lambda d, *rest: (
+        packed.append(d.shape[0]) or right_keys(d, *rest)))
+    for lmask in (0, 37, 255, 256, 1000):
+        packed.clear()
+        chosen = [i for i in range(nl) if lmask >> i & 1] + rng.sample(range(nl, nl + nb), 3)
+        target = math.prod(pool[i] for i in chosen) % m
+        got = solver.subset_product_find(pool, m, target, 3)
+        assert got == find_mitm_dict(pool, m, target, 3)
+        assert len(packed) == (1 if lmask < 256 else 2) and packed[0] < 1 << nb, lmask
+        assert packed[1:] in ([], [1 << nb])
+
+
 def test_subset_find_mitm_miss_scans_every_block(monkeypatch):
     # every element is 1 mod 4 and the target 3 mod 4: no left mask has a
     # partner, and the scan takes every block, in order, before it answers None
@@ -637,7 +706,9 @@ def test_subset_find_dp_size_classes_across_byte_edges():
 
 @pytest.mark.parametrize(("lam", "M", "cap", "a", "bound"), [
     (65520, 11, None, 3, 8 << 20),  # 42 layers of phi(720720) = 138240 one-byte cells
-    (720720, 19, 40, 5, 24 << 20),  # 2**20 right keys built in place, left products per block
+    # a hit in the first left block: 2**20 right digests and sizes, and only
+    # the keys that block needs, never the whole table's keys and masks
+    (720720, 19, 40, 5, 16 << 20),
 ], ids=["dp-41", "mitm-40"])
 def test_construct_search_memory(lam, M, cap, a, bound):
     pool = pipeline.erdos_pool(lam, M, cap)
