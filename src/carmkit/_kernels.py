@@ -13,9 +13,11 @@ per-entry product s on the odd multiples v = p*t with t = 1 (mod p-1), one
 strided slice per prime, the primes with at most one such entry per segment
 in one batch. v is Carmichael iff s == v: each prime p of a Carmichael v
 lies below sqrt(v), since p - 1 | v/p - 1.
-``all_subset_products`` is int64 below ``INT64_MOD_LIMIT`` and Python ints
-(object arrays) above, which the solver uses only for a column of 2**31 or
-more. Other arbitrary-precision paths live outside this module.
+``all_subset_products`` builds the table of at most 14 residues from which
+``solver._mask_blocks``, its one library caller, forms every subset product
+a search takes: int64 below ``INT64_MOD_LIMIT``, and Python ints (object
+arrays) for a solver column of 2**31 or more. Other arbitrary-precision
+paths live outside this module.
 ``strong_probable_primes`` runs Miller-Rabin over an array of odd
 candidates below ``MR_LIMIT`` = 2**50: the first base on every candidate,
 the later bases as one stacked test over its survivors. Each power runs left
@@ -195,6 +197,8 @@ def all_subset_products(res, m: int) -> tuple[np.ndarray, np.ndarray]:
     Entry ``mask`` covers the items whose bits are set in it. Products are
     int64 for m < INT64_MOD_LIMIT, each doubling reduced in place as x - x // m * m,
     and Python ints (object dtype), reduced by %, for a solver column of 2**31 or more.
+    Its one library caller, solver._mask_blocks, passes at most 14 residues:
+    the low bits' table that each block of masks scales by its high bits' product.
     """
     dtype = np.int64 if m < INT64_MOD_LIMIT else object
     res = np.array(res, dtype=dtype)

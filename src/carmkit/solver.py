@@ -5,11 +5,11 @@ elements, a layered DP over the unit group (Z/m)^x with witness reconstruction
 beyond that, and a full 2**n scan as the exhaustive oracle for small pools.
 Meet-in-the-middle keeps one half's subsets as sorted (digest, size, mask)
 keys and binary-searches them for each mask of the other half, in mask order,
-for any modulus. It and the scan form their masks' products block by block,
-small blocks first (see _mask_blocks), so a search whose first hit comes early
-forms few of them. Meet-in-the-middle's first block of 2**8 masks looks up
-only the keys whose digest one of its masks needs (see _meeting); it packs and
-sorts the whole half's keys only when that block has no match.
+for any modulus. Both halves and the scan form their products with one
+walker, block by block (see _mask_blocks). As the right half is formed, the
+digests that one of the left half's first 2**8 masks may need are marked
+(see _slot); only their keys are sorted, and every key only when that block
+has no match.
 
 Columns. Both form their products mod CRT columns of the modulus m (see
 _columns): int64 moduli below 2**31, packed from the prime powers that trial
@@ -17,7 +17,7 @@ division finds, then one column of Python ints for the rest. A search of n
 elements takes the first columns that carry n + 38 bits, or all of them. The
 scan tests each taken column only where the ones before it hold;
 meet-in-the-middle keys on the taken columns folded into one int64 below
-2**38 (see _fold). A match counts only once the subset's product is the
+2**38 (see _digest). A match counts only once the subset's product is the
 target mod m, so the witness does not depend on columns. Over a pool spread
 across the taken columns, about 2**(n - 38) matches per search fail mod m,
 from the fold, and the columns left out add about 2**-38 more. A match that
@@ -64,7 +64,7 @@ MITM_LIMIT = 40
 ENUMERATE_LIMIT = 24
 DP_CELL_BOUND = 200_000_000
 _MASK_BLOCK = 1 << 14  # the longest block of masks _mask_blocks forms at once
-# _fold: digests below 2**38, so a key (digest * 21 + size) << 20 fits in
+# _digest: digests below 2**38, so a key (digest * 21 + size) << 20 fits in
 # int64, and a multiplier below 2**25, so d * _DIGEST_MUL + r does too
 _DIGEST_BITS, _DIGEST_MUL = 38, (1 << 25) - 39
 
@@ -208,51 +208,63 @@ def _columns(m: int, bits: int) -> list[int]:
     return cols + [big] if big > 1 and not span >> bits else cols
 
 
-def _fold(d, r, c: int, q: int) -> np.ndarray:
-    """The digest d (None before the first column) with the residues r mod the
-    column c folded in, entry by entry, mod the fold prime q: d -> (d *
-    _DIGEST_MUL + r) % q, so a lone int64 column is its own digest. A prime q
-    that divided a column of Python ints would give one digest to all its
-    residues that agree mod q."""
-    if c >= _kernels.INT64_MOD_LIMIT:
-        r = (r % q).astype(np.int64)
-    if d is None:
-        return r
-    d *= _DIGEST_MUL  # in place: a fold holds two arrays at once
-    d += r
-    d %= q
-    return d
-
-
 def _product(elems, mask: int, m: int) -> int:
     """The product mod m of the elements whose bits are set in mask."""
     return math.prod(e for i, e in enumerate(elems) if mask >> i & 1) % m
 
 
-def _left_blocks(total: int):
+def _blocks(total: int):
     """The [start, end) blocks of masks below ``total`` that _mask_blocks
-    takes in turn: 2**8 masks, then each block as long as all before it, up
-    to _MASK_BLOCK. Each block is aligned to its length, so none crosses a
-    multiple of _MASK_BLOCK."""
+    takes in turn: 2**8 masks, then up to each multiple of _MASK_BLOCK, so
+    none crosses one."""
     start, end = 0, min(total, 1 << 8)
     while start < total:
         yield start, end
-        start, end = end, min(total, end + min(end, _MASK_BLOCK))
+        start, end = end, min(total, (end // _MASK_BLOCK + 1) * _MASK_BLOCK)
 
 
 def _mask_blocks(elems, cols, scale: int):
-    """(start, sizes, parts) per block of _left_blocks over the masks of
+    """(start, sizes, parts) per block of _blocks over the masks of
     ``elems``: entry i stands for mask start + i, of size sizes[i] (uint8).
     ``parts`` holds, per column c of ``cols``, the low 14 bits' products and
     the high bits' product times ``scale``; the block's products are table * factor % c."""
     low = min(len(elems), _MASK_BLOCK.bit_length() - 1)
     tables = [_kernels.all_subset_products([e % c for e in elems[:low]], c) for c in cols]
-    sizes = tables[0][1]
-    for start, stop in _left_blocks(1 << len(elems)):
+    sizes, span, high = tables[0][1], math.prod(cols), elems[low:]
+    for start, stop in _blocks(1 << len(elems)):
         h, off = start >> low, start % (1 << low)
-        f = math.prod(e for i, e in enumerate(elems[low:]) if h >> i & 1) * scale
+        f = _product(high, h, span) * scale
         yield (start, sizes[off : off + stop - start] + h.bit_count(),
                [(lp[off : off + stop - start], f % c) for (lp, _), c in zip(tables, cols)])
+
+
+def _digest(parts, cols, q: int, d: np.ndarray) -> np.ndarray:
+    """A block's digests, written into the int64 array d: its products mod
+    each column c of ``cols``, folded in mod the fold prime q as d -> (d *
+    _DIGEST_MUL + r) % q, so a lone int64 column is its own digest. A q that
+    divided a column of Python ints would merge its residues that agree mod q."""
+    for i, ((t, f), c) in enumerate(zip(parts, cols)):
+        r = np.empty_like(d) if i else d
+        if c >= _kernels.INT64_MOD_LIMIT:
+            r[...] = t * f % c % q
+        else:
+            np.multiply(t, f, out=r)
+            x = r // c  # r % c for r >= 0, faster than int64 %, with one temporary
+            x *= c
+            r -= x
+        if i:
+            d *= _DIGEST_MUL
+            d += r
+            d -= d // q * q
+    return d
+
+
+def _slot(digests) -> np.ndarray:
+    """Each digest's slot of 2**16: the top 16 bits of its product with
+    2**64 / golden ratio (mod 2**64), so digests that agree in their low
+    bits still spread over the slots."""
+    x = digests.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return np.right_shift(x, np.uint64(48), out=x).view(np.int64)
 
 
 def _right_keys(digests, sizes, masks, nb: int) -> np.ndarray:
@@ -267,21 +279,6 @@ def _right_keys(digests, sizes, masks, nb: int) -> np.ndarray:
     return digests
 
 
-def _meeting(digests, needles) -> np.ndarray:
-    """The indices, ascending, of the digests that may equal one of the first
-    block's 2**8 ``needles``: every digest that does, and about one other in
-    2**8, which no lookup matches. Each digest has one of 2**16 slots, the
-    top 16 bits of its product with 2**64 / golden ratio (mod 2**64), so
-    digests that agree in their low bits still spread over the slots."""
-    mul, shift = np.uint64(0x9E3779B97F4A7C15), np.uint64(48)
-    slots = np.zeros(1 << 16, dtype=bool)
-    slots[needles.view(np.uint64) * mul >> shift] = True
-    passed = np.empty(digests.shape[0], dtype=bool)
-    for i in range(0, passed.shape[0], _MASK_BLOCK):  # a block at a time keeps the temporaries small
-        slots.take(digests[i : i + _MASK_BLOCK].view(np.uint64) * mul >> shift, out=passed[i : i + _MASK_BLOCK])
-    return np.flatnonzero(passed)
-
-
 def _find_mitm(pool, modulus, target, min_size, max_size, bits):
     """First left mask (in mask order) with a right partner, and for it the
     right mask of least size, then least mask, that completes the target.
@@ -289,8 +286,8 @@ def _find_mitm(pool, modulus, target, min_size, max_size, bits):
     match counts once confirmed mod the modulus; one that holds on those
     columns but not mod the modulus restarts the search on every column.
     The first left block looks its masks up among only the right keys whose
-    digest one of them needs; the whole right table is sorted only when that
-    block has no match."""
+    digest one of them may need; the whole right table is sorted only when
+    that block has no match."""
     n = len(pool)
     nb = n // 2
     left, right = pool[: n - nb], pool[n - nb :]
@@ -299,28 +296,29 @@ def _find_mitm(pool, modulus, target, min_size, max_size, bits):
     span, q = math.prod(cols), (1 << _DIGEST_BITS) - 45  # the largest prime below 2**38
     while cols[-1] % q == 0:  # a column of Python ints enters the digest mod q: q must not divide it
         q = next(p for p in range(q - 2, 0, -2) if is_prime(p))
-    # right half: the digest and size of each mask's product
-    w = nb + 1
-    table = None
-    for c in cols:  # each column's table is folded in as it is formed
-        products, rs = _kernels.all_subset_products([e % c for e in right], c)
-        table = _fold(table, products, c, q)
     # left half: the digest of the product each left mask needs from the right
-    inverses = [pow(e, -1, modulus) for e in left]
-    keys = None
-    for start, sizes, parts in _mask_blocks(inverses, cols, target):
-        base = None
-        for (t, f), c in zip(parts, cols):
-            base = _fold(base, t * f % c, c, q)
-        if keys is None:  # the first block: only the keys its needles can meet
-            at = _meeting(table, base)
-            # when every digest meets it, the first block's keys are the whole table's
-            keys = _right_keys(table if at.shape[0] == table.shape[0] else table[at], rs[at], at, nb)
+    inverses = [pow(e, -1, span) for e in left]
+    for start, sizes, parts in _mask_blocks(inverses, cols, target % span):
+        base = _digest(parts, cols, q, np.empty(sizes.shape[0], dtype=np.int64))
+        if not start:  # the first block: the right half, and the keys its needles can meet
+            slots = np.zeros(1 << 16, dtype=bool)
+            slots[_slot(base)] = True
+            table, rs = np.empty(1 << nb, dtype=np.int64), np.empty(1 << nb, dtype=np.uint8)
+            passed = np.empty(1 << nb, dtype=bool)
+            for r, r_sizes, r_parts in _mask_blocks(right, cols, 1):
+                block = slice(r, r + r_sizes.shape[0])
+                rs[block] = r_sizes
+                slots.take(_slot(_digest(r_parts, cols, q, table[block])), out=passed[block])
+            if passed.all():  # the first block's keys are the whole table's
+                keys = _right_keys(table, rs, np.arange(1 << nb), nb)
+            else:
+                at = np.flatnonzero(passed)
+                keys = _right_keys(table[at], rs[at], at, nb)
         elif keys is not table:  # the first block missed: every key, packed in place
             keys = _right_keys(table, rs, np.arange(1 << nb), nb)
         if not keys.shape[0]:  # no right digest meets the first block
             continue
-        base *= w
+        base *= nb + 1
         sl = sizes.astype(np.int64)
         # right sizes allowed; hi <= nb keeps each lookup inside its digest's keys
         lo = np.maximum(min_size - sl, 0)
@@ -398,11 +396,12 @@ def subset_product_find(pool, modulus: int, target: int, min_size: int, max_size
     Meet-in-the-middle splits the pool into a left and a right half, keeps
     the right half as a sorted array of (digest, size, mask) keys and scans
     the left masks in mask order; it returns the first left mask that has a
-    partner, with its least-size, then least-mask right partner. The first
-    2**8 left masks look up only the right keys whose digest they need, and
-    the whole right half is sorted only when none of them has a partner.
-    Keys hold digests of the taken columns, and matches are confirmed mod the
-    modulus, as the module docstring sets out.
+    partner, with its least-size, then least-mask right partner. Both halves
+    form their products block by block from a table of at most 14 elements'
+    products, and the first 2**8 left masks look up only the right keys
+    whose digest they may need; the whole right half is sorted only when
+    none of them has a partner. Keys hold digests of the taken columns, and
+    matches are confirmed mod the modulus, as the module docstring sets out.
     """
     pool = _validate_pool(pool, modulus, min_size, max_size)
     target %= modulus

@@ -271,6 +271,22 @@ def test_block_search_crowded_residues_stay_in_columns(monkeypatch):
     assert got == []  # the second target is out of reach
 
 
+def spy_walks(monkeypatch):
+    """The blocks each walk of _mask_blocks takes, one list per walk in the
+    order the walks start: a search starts its left walk, then its right."""
+    walks, blocks = [], solver._blocks
+
+    def spy(total):
+        walk = []
+        walks.append(walk)
+        for block in blocks(total):
+            walk.append(block)
+            yield block
+
+    monkeypatch.setattr(solver, "_blocks", spy)
+    return walks
+
+
 def test_crowded_columns_restart_on_every_column(monkeypatch):
     # every element is 1 mod the first three columns, which carry the n + 38
     # bits a search takes first, so all keys meet there and every mask passes
@@ -291,17 +307,15 @@ def test_crowded_columns_restart_on_every_column(monkeypatch):
         return products(res, mod)
 
     monkeypatch.setattr(_kernels, "all_subset_products", spy)
-    seen, blocks = [], solver._left_blocks
-    monkeypatch.setattr(solver, "_left_blocks", lambda total: (
-        seen.append(block) or block for block in blocks(total)))
+    walks = spy_walks(monkeypatch)
     prods, sizes = products(pool, m)
     for target in (pool[2] * pool[7] * pool[11] % m, miss):
         moduli.clear()
-        seen.clear()
+        walks.clear()
         assert solver.subset_product_find(pool, m, target, 2) == find_mitm_dict(pool, m, target, 2)
         assert moduli == cols[:3] * 2 + cols * 2
         # 2**8 left masks are one block: the first block's lookup raises the restart
-        assert seen == [(0, 256)] * 2
+        assert walks[::2] == [[(0, 256)]] * 2
         moduli.clear()
         want = np.flatnonzero((prods == target) & (sizes >= 2)).tolist()
         got = solver.subset_product_enumerate(pool, m, target, 2)
@@ -591,10 +605,11 @@ def tagged_pool(rng, m, nl, nb):
 def test_subset_find_mitm_first_hit_at_block_edges(m):
     # 15 left elements, so masks 2**14 - 1 and 2**14 lie on either side of a
     # multiple of _MASK_BLOCK; the first hit's left mask is put on each edge of
-    # each block the scan takes, and the dict search is the oracle
+    # each block the scan takes (0, 255, 256, 16383, 16384 and 32767), and the
+    # dict search is the oracle
     nl, nb = 15, 14
-    blocks = list(solver._left_blocks(1 << nl))
-    assert [b - a for a, b in blocks] == [256, 256, 512, 1024, 2048, 4096, 8192, 16384]
+    blocks = list(solver._blocks(1 << nl))
+    assert blocks == [(0, 256), (256, 16384), (16384, 32768)]
     assert all(a // solver._MASK_BLOCK == (b - 1) // solver._MASK_BLOCK for a, b in blocks)
     rng = random.Random(73)
     pool = tagged_pool(rng, m, nl, nb)
@@ -675,13 +690,29 @@ def test_subset_find_mitm_miss_scans_every_block(monkeypatch):
     # partner, and the scan takes every block, in order, before it answers None
     m, nl = 2**17 * EDGE_Q, 15
     pool = tagged_pool(random.Random(79), m, nl, 14)
-    seen, blocks = [], solver._left_blocks
-    monkeypatch.setattr(solver, "_left_blocks", lambda total: (
-        seen.append(block) or block for block in blocks(total)))
+    walks = spy_walks(monkeypatch)
     target = 3 + 4 * 1234567
     assert solver.subset_product_find(pool, m, target, 3) is None
     assert find_mitm_dict(pool, m, target, 3) is None
-    assert seen == list(blocks(1 << nl))
+    assert walks[0] == [(0, 256), (256, 16384), (16384, 32768)]
+
+
+def test_subset_products_only_for_the_low_bits(monkeypatch):
+    # both halves form their products block by block from a table of their
+    # low 14 bits' products, so no search forms a table of more: a pool-40
+    # hit in the first left block, the M = 37 hit past it, and a miss over
+    # 32 primes mod the prime 2**127 - 1, one column of Python ints
+    lengths, products = [], _kernels.all_subset_products
+    monkeypatch.setattr(_kernels, "all_subset_products", lambda res, m: (
+        lengths.append(len(res)) or products(res, m)))
+    primes = [p for p in range(5, 140) if arith.is_prime(p)]
+    searches = [(pipeline.erdos_pool(lam, M, 40), *solver.derive_target(lam, M, a))
+                for lam, M, a in ((720720, 19, 5), (5354228880, 37, 5))]
+    for pool, target, m in searches + [(primes, 12345, 2**127 - 1)]:
+        lengths.clear()
+        got = solver.subset_product_find(pool, m, target, 3)
+        assert len(pool) in (32, 40) and lengths and max(lengths) <= 14, lengths
+        assert got is None if m == 2**127 - 1 else math.prod(pool[i] for i in got) % m == target
 
 
 def test_subset_find_dp_size_classes_across_byte_edges():
@@ -706,10 +737,13 @@ def test_subset_find_dp_size_classes_across_byte_edges():
 
 @pytest.mark.parametrize(("lam", "M", "cap", "a", "bound"), [
     (65520, 11, None, 3, 8 << 20),  # 42 layers of phi(720720) = 138240 one-byte cells
-    # a hit in the first left block: 2**20 right digests and sizes, and only
-    # the keys that block needs, never the whole table's keys and masks
-    (720720, 19, 40, 5, 16 << 20),
-], ids=["dp-41", "mitm-40"])
+    # a hit in the first left block: 2**20 right digests, sizes and slot
+    # marks, formed a block at a time, and only the keys that block needs
+    (720720, 19, 40, 5, 12 << 20),
+    # a hit past the first block, on two int64 columns: those arrays, and then
+    # every right mask, packed into the digests in place
+    (5354228880, 37, 40, 5, 21 << 20),
+], ids=["dp-41", "mitm-40", "m37-hit"])
 def test_construct_search_memory(lam, M, cap, a, bound):
     pool = pipeline.erdos_pool(lam, M, cap)
     target, m = solver.derive_target(lam, M, a)
