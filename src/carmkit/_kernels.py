@@ -9,10 +9,12 @@ multiples of each base prime over a window, and ``sieve_primes`` is its
 window from 0; ``smooth_part`` multiplies each prime p into the multiples of
 each power of p, so an entry n holds the part of n made of those primes,
 with no division. The Carmichael scan multiplies each prime p into a
-per-entry product s on the odd multiples v = p*t with t = 1 (mod p-1), one
-strided slice per prime, the primes with at most one such entry per segment
-in one batch. v is Carmichael iff s == v: each prime p of a Carmichael v
-lies below sqrt(v), since p - 1 | v/p - 1.
+per-entry product s on the odd multiples v = p*t with t = 1 (mod p-1): the
+primes 3 to 13 as one seed, a wheel of period 30030 in (v-1)/2 copied from
+the segment's phase, then one strided slice per prime, the primes with at
+most one such entry per segment in one batch. v is Carmichael iff s == v:
+each prime p of a Carmichael v lies below sqrt(v), since p - 1 | v/p - 1.
+It returns one bool flag per odd entry.
 ``all_subset_products`` builds the table of at most 14 residues from which
 ``solver._mask_blocks``, its one library caller, forms every subset product
 a search takes: int64 below ``INT64_MOD_LIMIT``, and Python ints (object
@@ -26,7 +28,9 @@ multiply by an entry of a per-candidate table of b**0..b**7. Each product
 x*y mod n takes the float64 quotient q of x*y/n, off by at most 1: three
 roundings (of x*y, 1/n and their product) of relative error 2**-53 each move
 a quotient below 2**50 by less than 3/8. So x*y - q*n, exact in wrapping
-uint64 arithmetic, lies in [-n, 2n), and one signed remainder corrects it.
+uint64 arithmetic, lies in [-n, 2n), and two unsigned minimums correct it:
+min(r, r + n), then min(r, r - n), since a difference below 0 wraps above
+2**63.
 Larger candidates take the scalar ``arith.is_prime``.
 ``scan_segments`` runs a sieve over a long range one segment at a time, so
 memory stays O(segment).
@@ -35,6 +39,7 @@ memory stays O(segment).
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import math
 
 import numpy as np
@@ -117,6 +122,22 @@ def lpf_range(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     return np.maximum(lpf, rem, out=lpf)
 
 
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = 30030  # lcm of their steps p(p-1)/2 = 3, 10, 21, 55, 78
+
+
+@functools.cache
+def _wheel() -> np.ndarray:
+    """Per odd index g = (v-1)/2 in [0, 2 * _WHEEL): the product of the primes
+    p <= 13 with g = (p-1)/2 (mod p(p-1)/2), i.e. v = p*t with t = 1 (mod p-1).
+    Two periods, so that one period from any phase is one slice."""
+    seed = np.ones(2 * _WHEEL, dtype=np.int16)  # at most 3*5*7*11*13 = 15015
+    for p in _WHEEL_PRIMES:
+        seed[(p - 1) // 2 :: p * (p - 1) // 2] *= p
+    seed.flags.writeable = False  # each segment copies it
+    return seed
+
+
 def carmichael_segment(lo: int, hi: int, odd_primes: np.ndarray) -> np.ndarray:
     """Flags, per odd v in [lo, hi), v composite + squarefree + (p-1 | v-1 for all p | v).
 
@@ -126,14 +147,30 @@ def carmichael_segment(lo: int, hi: int, odd_primes: np.ndarray) -> np.ndarray:
     v of a Carmichael v has p - 1 | v/p - 1, so v/p >= p, and v squarefree
     makes p < sqrt(v): s then holds every prime of v. Conversely s == v makes
     v squarefree, with p - 1 | v - 1 at each p | v, and composite, as each p
-    lies below v. s | v, so it never overflows. A prime whose step p(p-1)/2
-    is at least the n odd entries has at most one entry, so all such primes
-    fold in at once. ``lo`` must be odd and at least 3; ``odd_primes`` must
-    ascend and cover the odd primes <= isqrt(hi - 1).
+    lies below v. s | v, so it never overflows.
+
+    The primes 3 to 13 are seeded, not strided: at the odd index g = (v-1)/2
+    each takes the progression g = (p-1)/2 (mod p(p-1)/2), so their product is
+    periodic in g with period lcm(3, 10, 21, 55, 78) = 30030, and s starts as
+    a copy of that wheel from the phase (lo-1)/2 mod 30030. The wheel also
+    multiplies p into v = p itself (t = 1); that entry has s = v = p, so s | v
+    still holds, and the guard s >= 561 below keeps it unflagged. 17 would
+    make the period 68 times longer, more than a segment. The primes above 13
+    take one strided slice each, but a prime whose step p(p-1)/2 is at least
+    the n odd entries has at most one entry, so all such primes fold in at
+    once. The flags are bool because ``np.flatnonzero`` and
+    ``np.count_nonzero`` read bool many times faster than an integer dtype.
+    ``lo`` must be odd and at least 3; ``odd_primes`` must ascend and cover
+    the odd primes <= isqrt(hi - 1).
     """
     n = max(0, (hi - lo + 1) // 2)
-    s = np.ones(n, dtype=np.int64)
+    phase, wheel = (lo - 1) // 2 % _WHEEL, _wheel()
+    s = np.empty(n, dtype=np.int64)
+    rows = s[: n - n % _WHEEL].reshape(-1, _WHEEL)
+    rows[:] = wheel[phase : phase + _WHEEL]
+    s[rows.size :] = wheel[phase : phase + n % _WHEEL]
     p = np.asarray(odd_primes, dtype=np.int64)
+    p = p[np.searchsorted(p, _WHEEL_PRIMES[-1], side="right") :]  # 3 to 13 are in the wheel
     t = np.maximum(3, -(-lo // p)) | 1  # first odd t >= 3 with p*t >= lo
     # p*t - 1 = (p-1)*t + (t-1), so p-1 | v-1 iff t = 1 (mod p-1)
     k, step = (p * (t + (1 - t) % (p - 1)) - lo) // 2, p * (p - 1) // 2
@@ -147,8 +184,8 @@ def carmichael_segment(lo: int, hi: int, odd_primes: np.ndarray) -> np.ndarray:
     # faults than the whole strided loop, and from lo = 3 every entry with one
     # Korselt prime would pass s >= lo alone
     i = np.flatnonzero(s >= max(lo, 561))
-    flags = np.zeros(n, dtype=np.uint8)
-    flags[i[s[i] == lo + 2 * i]] = 1
+    flags = np.zeros(n, dtype=bool)
+    flags[i[s[i] == lo + 2 * i]] = True
     return flags
 
 
@@ -224,10 +261,10 @@ def _mulmod(x: np.ndarray, y: np.ndarray, n: np.ndarray, inv: np.ndarray) -> np.
     q = np.multiply(x, y, dtype=np.float64)
     q *= inv
     r = x * y
-    r -= q.astype(np.uint64) * n
-    r = r.view(np.int64)
-    r %= n.view(np.int64)  # from [-n, 2n) to [0, n)
-    return r.view(np.uint64)
+    r -= q.astype(np.uint64) * n  # in [-n, 2n), wrapped mod 2**64
+    np.minimum(r, r + n, out=r)  # r < 0 wraps above 2**63, and r + n is in [0, n)
+    np.minimum(r, r - n, out=r)  # r >= n takes r - n; below n, r - n wraps above 2**63
+    return r
 
 
 def _strong(n: np.ndarray, d: np.ndarray, s: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -183,8 +183,19 @@ def test_prime_flags_and_smooth_part_match_loops(lo, hi):
         assert np.array_equal(out, smooth_part_loops(lo, hi, base[:k])), (lo, hi, k)
 
 
-@pytest.mark.parametrize("lo,hi", [(3, 20001), (1_000_001, 1_100_001), (99_000_001, 99_100_001)])
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(3, 20001), (1_000_001, 1_100_001), (99_000_001, 99_100_001),
+     (99_759_661, 99_862_061), (84_264_183, 84_420_001), (99_819_719, 99_879_979),
+     (52_633, 62_747)],
+)
 def test_carmichael_segment_backends_agree(lo, hi):
+    # the primes 3 to 13 are seeded from a wheel of 30030 odd entries, read
+    # from the phase (lo - 1) // 2 % 30030, and a wrong seed unflags a
+    # Carmichael number; so each wheel window starts at phase 0, 1, 30029 or
+    # 26316 and holds some: past its first period (phase 0), in each of its
+    # three periods (phase 1), in its first (30029), and on both sides of
+    # the wrap to phase 0 (26316)
     odd_primes = K.sieve_primes(math.isqrt(hi - 1))[1:]
     out_np = K.carmichael_segment(lo, hi, odd_primes)
     out_ref = carmichael_segment_loops(lo, hi, odd_primes)
@@ -220,7 +231,7 @@ def test_carmichael_segment_at_the_cap(lo, hi):
     # the segments of enumerate_carmichael(10**8), each with the cap's primes
     odd_primes = K.sieve_primes(math.isqrt(10**8 - 1))[1:]
     out = K.carmichael_segment(lo, hi, odd_primes)
-    assert out.dtype == np.uint8 and out.size == (hi - lo + 1) // 2
+    assert out.dtype == np.bool_ and out.size == (hi - lo + 1) // 2
     assert np.array_equal(out, carmichael_segment_loops(lo, hi, odd_primes))
 
 
@@ -260,7 +271,7 @@ def test_carmichael_segment_empty_window():
     odd_primes = K.sieve_primes(100)[1:]
     for lo, hi in [(101, 101), (101, 99), (101, 3)]:
         out = K.carmichael_segment(lo, hi, odd_primes)
-        assert out.dtype == np.uint8 and out.size == 0
+        assert out.dtype == np.bool_ and out.size == 0
 
 
 def test_scan_segments_runs_one_segment_inline(monkeypatch):
@@ -404,8 +415,21 @@ def test_mulmod_just_below_limits_matches_python_ints(top):
     x = np.array([rng.randrange(int(m)) for m in n] + [int(m) - 1 for m in n[:50]], dtype=np.uint64)
     y = np.array([rng.randrange(int(m)) for m in n] + [int(m) - 1 for m in n[:50]], dtype=np.uint64)
     n = np.concatenate((n, n[:50]))
+    # x*y = -1 and +1 mod n: the fraction of x*y/n lies within 1/n of 1 and
+    # of 0, where the float quotient rounds up or down past an integer
+    pairs = [(u, k) for u, k in ((rng.randrange(2, k), k) for k in n[:200].tolist()) if math.gcd(u, k) == 1]
+    for sign in (-1, 1):
+        x = np.concatenate((x, np.array([u for u, _ in pairs], dtype=np.uint64)))
+        y = np.concatenate((y, np.array([sign * pow(u, -1, k) % k for u, k in pairs], dtype=np.uint64)))
+        n = np.concatenate((n, np.array([k for _, k in pairs], dtype=np.uint64)))
+    inv = 1.0 / n.astype(np.float64)
+    q = np.multiply(x, y, dtype=np.float64) * inv
+    r = [int(a) * int(b) - int(c) * int(m) for a, b, c, m in zip(x, y, q.astype(np.uint64), n)]
+    assert all(-m <= c < 2 * m for c, m in zip(r, n.tolist()))
+    assert any(c < 0 for c in r)  # rounded up: r + n
+    assert any(c >= m for c, m in zip(r, n.tolist()))  # rounded down: r - n
     want = [int(a) * int(b) % int(m) for a, b, m in zip(x, y, n)]
-    assert K._mulmod(x, y, n, 1.0 / n.astype(np.float64)).tolist() == want
+    assert K._mulmod(x, y, n, inv).tolist() == want
 
 
 @pytest.mark.parametrize("top", [1 << 32, 1 << 50])
