@@ -25,13 +25,7 @@ from fractions import Fraction
 
 from .errors import AssemblyError, CarmkitError, DomainError
 from .korselt import Census, carmichael_factors, census, korselt_check
-from .pipeline import (
-    Caps,
-    ConstructionParams,
-    PoolFilters,
-    erdos_pool,
-    run_agp_construction,
-)
+from .pipeline import ConstructionParams, PoolFilters, erdos_pool, run_agp_construction
 from .solver import (
     ENUMERATE_LIMIT,
     AssemblySpec,
@@ -94,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--B", type=_rational, default=None, help="rational in (0, 5/12), e.g. 0.4 or 2/5")
     p.add_argument("--x-cap", dest="x_cap", type=int, default=None)
-    p.add_argument("--k-cap", dest="k_cap", type=int, default=10_000)
+    p.add_argument("--k-cap", dest="k_cap", type=int, default=ConstructionParams.k_cap)
     p.add_argument("--pool-cap", dest="pool_cap", type=int, default=None)
     p.add_argument("--max-factors", dest="max_factors", type=int, default=None)
     p.add_argument("--qr-filter", dest="qr_filter", action=argparse.BooleanOptionalAction,
@@ -138,7 +132,7 @@ def parse_args(argv) -> argparse.Namespace:
             ns.params = ConstructionParams(
                 M=ns.modulus, a=ns.residue, mode=ns.mode,
                 y=ns.y, theta=ns.theta, B=ns.B, Lambda=ns.Lambda,
-                caps=Caps(x_cap=ns.x_cap, k_cap=ns.k_cap, pool_cap=ns.pool_cap),
+                x_cap=ns.x_cap, k_cap=ns.k_cap, pool_cap=ns.pool_cap,
                 filters=PoolFilters(require_qr=ns.qr_filter, require_residue=ns.residue_filter),
             )
         except DomainError as e:
@@ -294,7 +288,7 @@ def _run_construct(cfg: argparse.Namespace) -> tuple[int, list[str]]:
     M, a = params.M, params.a
     # each mode yields its pool and the modulus L that n must be 1 modulo
     if params.mode == "erdos":
-        pool = erdos_pool(params.Lambda, M, params.caps.pool_cap)
+        pool = erdos_pool(params.Lambda, M, params.pool_cap)
         L, spec = params.Lambda, AssemblySpec("erdos", params.Lambda, 0, M, a)
     else:
         state = run_agp_construction(params)

@@ -51,12 +51,21 @@ class PoolFilters:
 
 
 @dataclass(frozen=True)
-class Caps:
-    """Desk-scale overrides for quantities whose faithful values are astronomical."""
+class ConstructionParams:
+    """One construct request. x_cap, k_cap and pool_cap are the desk-scale
+    overrides for quantities whose faithful values are astronomical."""
 
+    M: int
+    a: int
+    mode: str = "erdos"
+    y: int | None = None
+    theta: float | None = None
+    B: Fraction | None = None
+    Lambda: int | None = None
     x_cap: int | None = None
     k_cap: int = 10_000
     pool_cap: int | None = None
+    filters: PoolFilters = field(default_factory=lambda: PoolFilters(True, True))
 
     def __post_init__(self):
         if self.x_cap is not None and self.x_cap < 2:
@@ -65,21 +74,6 @@ class Caps:
             raise DomainError("k_cap must be >= 1")
         if self.pool_cap is not None and self.pool_cap < 1:
             raise DomainError("pool_cap must be >= 1")
-
-
-@dataclass(frozen=True)
-class ConstructionParams:
-    M: int
-    a: int
-    mode: str = "erdos"
-    y: int | None = None
-    theta: float | None = None
-    B: Fraction | None = None
-    Lambda: int | None = None
-    caps: Caps = field(default_factory=Caps)
-    filters: PoolFilters = field(default_factory=lambda: PoolFilters(True, True))
-
-    def __post_init__(self):
         if self.M < 1:
             raise DomainError(f"M must be >= 1, got {self.M}")
         if math.gcd(self.a, self.M) != 1:
@@ -142,39 +136,13 @@ def compute_x(M: int, L: int, B) -> int:
     if work_bits > X_MAX_BITS:
         raise CapacityError(
             f"x would need ~{work_bits // max(exp.denominator, 1)} bits "
-            f"(> {X_MAX_BITS} working); set caps.x_cap instead"
+            f"(> {X_MAX_BITS} working); set x_cap (--x-cap) instead"
         )
     powed = base**exp.numerator
     root = nth_root_floor(powed, exp.denominator)
     if root**exp.denominator == powed:
         return root
     return root + 1
-
-
-def faithful_x_log2(M: int, L: int, B) -> float:
-    """log2 of the uncapped x (math.inf past float range), for recording when x is oversized."""
-    try:
-        return math.log2(M * L) * float(2 / _as_fraction(B))
-    except OverflowError:
-        return math.inf
-
-
-def build_L(Q) -> tuple[int, Factorization]:
-    """Product of the smooth-shifted primes, with its factorization."""
-    Q = sorted(Q)
-    if not Q:
-        raise ConstructionError("no usable primes at these parameters")
-    return product(Q), Factorization.of((q, 1) for q in Q)
-
-
-def is_qr_mod_L(p: int, L_fact: Factorization) -> bool:
-    """True iff p is a quadratic residue modulo every prime factor of squarefree odd L."""
-    primes = L_fact.primes()
-    if not L_fact.is_squarefree or 2 in primes:
-        raise DomainError("L must be squarefree and odd")
-    if any(p % q == 0 for q in primes):
-        raise DomainError(f"gcd({p}, L) != 1")
-    return all(jacobi(p, q) == 1 for q in primes)
 
 
 def _divisors_upto(fact: Factorization, bound: int) -> list[int]:
@@ -255,8 +223,9 @@ def _pool_grid(
     low = np.array(divs[: bisect_right(divs, top)], dtype=np.int64)
     d_mods = (np.array(divs, dtype=object) % np.array(_TRIAL_PRIMES, dtype=object)[:, None]).astype(np.int16)
     L_primes = set(L_fact.primes())  # a prime p is coprime to M*L iff p ∤ M and p is not one
-    # is_qr_mod_L(1, L_fact) checks the QR filter's conditions on L, once
-    qr_primes = L_fact.primes() if filters.require_qr and is_qr_mod_L(1, L_fact) else ()
+    if filters.require_qr and (not L_fact.is_squarefree or 2 in L_primes):
+        raise DomainError("L must be squarefree and odd")
+    qr_primes = L_fact.primes() if filters.require_qr else ()
     divs_int64 = np.array(divs, dtype=np.int64) if limit < MR_LIMIT else None
     for d_at, k_at in _candidates(divs, ks, limit):
         # the block's ks are one run ks[k_at[0]:k_at[-1]+1]; per-k values are taken there
@@ -319,11 +288,11 @@ def find_k0(
 def build_pool(
     L_fact: Factorization, x: int, k0: int, params: ConstructionParams
 ) -> list[int]:
-    """The k0 pool, ascending and cut at caps.pool_cap: the primes
+    """The k0 pool, ascending and cut at params.pool_cap: the primes
     p = d*k0 + 1 <= x over d | L that pass the pool rule."""
     divs = _divisors_upto(L_fact, (x - 1) // k0)
     grid = _pool_grid(divs, np.array([k0]), x - 1, L_fact, params.M, params.a, params.filters)
-    return [p for _, p in grid][: params.caps.pool_cap]
+    return [p for _, p in grid][: params.pool_cap]
 
 
 def erdos_pool(Lambda: int, M: int, pool_cap: int | None = None) -> list[int]:
@@ -343,21 +312,22 @@ def run_agp_construction(params: ConstructionParams) -> ConstructionState:
     """The full agp-mode pipeline at desk scale: Q, L, x, k0, pool."""
     if params.mode != "agp":
         raise DomainError("run_agp_construction requires agp-mode params")
-    Q = build_Q(params.y, params.theta, params.M)
-    L, L_fact = build_L(Q)
-    log2x = faithful_x_log2(params.M, L, params.B)
-    x_faithful: int | None
+    Q = build_Q(params.y, params.theta, params.M)  # ascending, as Factorization needs
+    if not Q:
+        raise ConstructionError("no usable primes at these parameters")
+    L, L_fact = product(Q), Factorization.of((q, 1) for q in Q)
     try:
         x_faithful = compute_x(params.M, L, params.B)
     except CapacityError:
+        if params.x_cap is None:
+            raise
         x_faithful = None
-    if params.caps.x_cap is not None:
-        x = params.caps.x_cap if x_faithful is None else min(x_faithful, params.caps.x_cap)
-    elif x_faithful is not None:
-        x = x_faithful
-    else:
-        raise CapacityError("faithful x is oversized and no caps.x_cap was provided")
-    k0, count = find_k0(L_fact, x, params.M, params.a, params.filters, params.caps.k_cap)
+    x = min(v for v in (x_faithful, params.x_cap) if v is not None)
+    try:  # the size of x_faithful, also where it is None (math.inf past float range)
+        log2x = math.log2(params.M * L) * float(2 / _as_fraction(params.B))
+    except OverflowError:
+        log2x = math.inf
+    k0, count = find_k0(L_fact, x, params.M, params.a, params.filters, params.k_cap)
     return ConstructionState(
         Q=tuple(Q),
         x_faithful=x_faithful,

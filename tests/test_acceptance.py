@@ -197,7 +197,8 @@ def test_criterion_8_size_bound_suite():
     for y in (50, 100, 200):
         for theta in (1.2, 1.5, 1.8):
             Q = sieve.build_Q(y, theta, 1)
-            L, L_fact = pipeline.build_L(Q)
+            L_fact = arith.Factorization.of((q, 1) for q in Q)
+            L = L_fact.value()
             lam = arith.carmichael_lambda(L_fact)
             lam_cap = int(mp.ceil(mp.exp(2 * theta * y)))
             lam_ok = lam <= lam_cap

@@ -41,6 +41,20 @@ def test_parse_args_examples():
     assert ei.value.code == 2  # gcd(2, 4) != 1
 
 
+def test_parse_args_construct_caps(capsys):
+    # the caps ride on the one ConstructionParams, and each rejected cap is a usage error
+    erdos = ["construct", "--modulus", "1", "--residue", "1", "--lambda", "120"]
+    params = cli.parse_args(erdos + ["--x-cap", "50", "--pool-cap", "7"]).params
+    assert (params.x_cap, params.k_cap, params.pool_cap) == (50, 10_000, 7)
+    for flag, value, message in [("--x-cap", "1", "x_cap must be >= 2"),
+                                 ("--k-cap", "0", "k_cap must be >= 1"),
+                                 ("--pool-cap", "0", "pool_cap must be >= 1")]:
+        with pytest.raises(SystemExit) as ei:
+            cli.parse_args(erdos + [flag, value])
+        assert ei.value.code == 2
+        assert capsys.readouterr().err.endswith(f" error: {message}\n"), flag
+
+
 def test_parse_args_rejects_unknown_flags():
     with pytest.raises(SystemExit) as ei:
         cli.parse_args(["verify", "561", "--frobnicate"])
@@ -469,7 +483,8 @@ def test_cli_capacity_exit_code(capsys):
            "--theta", "1.5", "--B", "1/100000"]
     code, out, err = run_cli(capsys, *agp)
     assert (code, out) == (3, "")
-    assert err == "error: faithful x is oversized and no caps.x_cap was provided\n"
+    assert err == ("error: x would need ~1400000 bits (> 1000000 working);"
+                   " set x_cap (--x-cap) instead\n")
     code, _, err = run_cli(capsys, *agp, "--x-cap", "1000")
     assert (code, err) == (1, "pool of 2 primes is too small\n")
 

@@ -222,6 +222,38 @@ def test_carmichael_segment_random_windows():
         assert np.array_equal(out, carmichael_segment_loops(lo, hi, odd_primes)), lo
 
 
+# two slices of OEIS A002997 (the Carmichael numbers): the first 16 terms
+# above 10**6 and the last 16 below 10**8
+A002997_SLICES = (
+    1024651, 1033669, 1050985, 1082809, 1152271, 1193221, 1461241, 1569457,
+    1615681, 1773289, 1857241, 1909001, 2100901, 2113921, 2433601, 2455921,
+    83966401, 84311569, 84350561, 84417985, 87318001, 88689601, 90698401, 92625121,
+    93030145, 93614521, 93869665, 94536001, 96895441, 99036001, 99830641, 99861985,
+)
+
+
+def test_carmichael_segment_windows_around_known_carmichael():
+    # a window that holds no Carmichael number reads all-False for almost any
+    # wrong s, so each of these holds one from outside carmkit: the slices
+    # above and Chernick's (6k+1)(12k+1)(18k+1) with all three factors prime
+    sympy = pytest.importorskip("sympy")
+    chernick = [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in range(1, 200)
+                if all(sympy.isprime(c * k + 1) for c in (6, 12, 18))]
+    known = A002997_SLICES + tuple(v for v in chernick if 10**6 < v < 10**10)
+    assert len(known) == 32 + 8
+    rng = random.Random(23)
+    for v in known:
+        f = sympy.factorint(v)  # Korselt's criterion, apart from carmkit
+        assert len(f) >= 3 and set(f.values()) == {1} and all((v - 1) % (p - 1) == 0 for p in f)
+        width = rng.randint(4, 256)
+        lo = v - 2 * rng.randrange(width)
+        hi = lo + 2 * width
+        odd_primes = K.sieve_primes(math.isqrt(hi - 1))[1:]
+        out = K.carmichael_segment(lo, hi, odd_primes)
+        assert out[(v - lo) // 2], v
+        assert np.array_equal(out, carmichael_segment_loops(lo, hi, odd_primes)), v
+
+
 @pytest.mark.parametrize(
     "lo,hi",
     [(3, 3 + 2**20), (3 + 94 * 2**20, 3 + 95 * 2**20), (3 + 95 * 2**20, 10**8)],

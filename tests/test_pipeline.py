@@ -8,7 +8,7 @@ import pytest
 
 from carmkit import arith, pipeline
 from carmkit.errors import CapacityError, ConstructionError, DomainError
-from carmkit.pipeline import Caps, ConstructionParams, PoolFilters
+from carmkit.pipeline import ConstructionParams, PoolFilters
 
 REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
 
@@ -21,13 +21,14 @@ def oracle_is_prime(n):
 
 
 def brute_pool(L, k, x, M, a, require_qr=False, require_residue=False):
-    Lf = arith.factorize(L)
+    sympy = pytest.importorskip("sympy")
     out = []
-    for d in pytest.importorskip("sympy").divisors(L):
+    for d in sympy.divisors(L):
         p = d * k + 1
         if p > x or not oracle_is_prime(p) or (M * L) % p == 0:
             continue
-        if require_qr and not pipeline.is_qr_mod_L(p, Lf):
+        # Euler's criterion: p is a square mod each prime q | L
+        if require_qr and any(pow(p, (q - 1) // 2, q) != 1 for q in sympy.primefactors(L)):
             continue
         if require_residue and p % M != a % M:
             continue
@@ -71,42 +72,6 @@ def test_compute_x_capacity_and_domain(monkeypatch):
         pipeline.compute_x(1, 10**300, Fraction(2, 5))
     with pytest.raises(DomainError):
         pipeline.compute_x(1, 2, Fraction(1, 2))
-
-
-def test_build_L_prime():
-    # the paper's L' = prod(Q); build_L computes it and L is taken equal to it
-    assert pipeline.build_L([7, 11])[0] == 77
-    assert pipeline.build_L([3])[0] == 3
-    assert pipeline.build_L([7, 11, 19])[0] == 1463
-    with pytest.raises(ConstructionError):
-        pipeline.build_L([])
-
-
-def test_build_L():
-    L, f = pipeline.build_L([11, 7, 19])
-    assert L == 1463 and f.pairs == ((7, 1), (11, 1), (19, 1))
-    L, f = pipeline.build_L([3])
-    assert L == 3 and f.pairs == ((3, 1),)
-
-
-def test_is_qr_mod_L_examples():
-    assert pipeline.is_qr_mod_L(4, arith.factorize(105))
-    assert pipeline.is_qr_mod_L(31, arith.factorize(15))
-    assert not pipeline.is_qr_mod_L(11, arith.factorize(15))
-    with pytest.raises(DomainError):
-        pipeline.is_qr_mod_L(3, arith.factorize(15))
-    with pytest.raises(DomainError):
-        pipeline.is_qr_mod_L(5, arith.factorize(12))  # not squarefree odd
-
-
-def test_is_qr_mod_L_matches_square_scan():
-    for L in (15, 21, 105, 33):
-        squares = {a * a % L for a in range(L) if math.gcd(a, L) == 1}
-        Lf = arith.factorize(L)
-        for p in range(1, 200):
-            if math.gcd(p, L) != 1:
-                continue
-            assert pipeline.is_qr_mod_L(p, Lf) == (p % L in squares), (p, L)
 
 
 def test_find_k0_pinned():
@@ -189,7 +154,7 @@ def test_pool_rule_in_blocks_matches_one_block(monkeypatch):
     monkeypatch.setattr(pipeline, "_GRID_BLOCK", 2**16)
     blocks.clear()
     params = ConstructionParams(M=1, a=0, mode="agp", y=40, theta=1.5, B=Fraction(2, 5),
-                                caps=Caps(x_cap=10**10, k_cap=60, pool_cap=28),
+                                x_cap=10**10, k_cap=60, pool_cap=28,
                                 filters=PoolFilters())
     assert pipeline.run_agp_construction(params).k0 == 6
     assert blocks[0] == 50402
@@ -277,7 +242,7 @@ def test_agp_matches_independent_references():
         for a, ref in per_residue.items():
             params = ConstructionParams(
                 M=int(M), a=int(a), mode="agp", y=int(y), theta=float(theta), B=Fraction(2, 5),
-                caps=Caps(x_cap=int(x_cap), k_cap=int(k_cap), pool_cap=int(cap)),
+                x_cap=int(x_cap), k_cap=int(k_cap), pool_cap=int(cap),
                 filters=PoolFilters(filters == "1", filters == "1"))
             state = pipeline.run_agp_construction(params)
             assert (state.k0, state.L, list(state.pool)) == (
@@ -295,7 +260,7 @@ def test_pool_rule_reads_L_only_through_its_primes(monkeypatch):
         for a, ref in refs["agp"][key].items():
             params = ConstructionParams(
                 M=int(M), a=int(a), mode="agp", y=int(y), theta=float(theta), B=Fraction(2, 5),
-                caps=Caps(x_cap=int(x_cap), k_cap=int(k_cap), pool_cap=int(cap)),
+                x_cap=int(x_cap), k_cap=int(k_cap), pool_cap=int(cap),
                 filters=PoolFilters(filters == "1", filters == "1"))
             state = pipeline.run_agp_construction(params)
             assert (state.k0, list(state.pool)) == (ref["k0"], ref["pool"]), (key, a)
@@ -319,7 +284,7 @@ def test_pool_rule_keeps_sieving_primes():
 
 def _params(pool_cap=None, **filters):
     return ConstructionParams(M=1, a=1, mode="agp", y=5, theta=1.5, B=Fraction(2, 5),
-                              caps=Caps(pool_cap=pool_cap), filters=PoolFilters(**filters))
+                              pool_cap=pool_cap, filters=PoolFilters(**filters))
 
 
 def test_build_pool_pinned():
@@ -341,6 +306,29 @@ def test_build_pool_invariants():
         assert arith.is_prime(p)
         assert (p - 1) % k0 == 0 and L % ((p - 1) // k0) == 0
         assert p <= x and (params.M * L) % p != 0
+
+
+def test_qr_filter_needs_squarefree_odd_L():
+    # 30 is even and 45 = 3**2 * 5 is not squarefree; without the QR filter both are walked
+    qr = _params(require_qr=True)
+    for L in (30, 45):
+        Lf = arith.factorize(L)
+        with pytest.raises(DomainError, match="^L must be squarefree and odd$"):
+            pipeline.find_k0(Lf, 100, 1, 0, PoolFilters(require_qr=True), 10)
+        with pytest.raises(DomainError, match="^L must be squarefree and odd$"):
+            pipeline.build_pool(Lf, 100, 2, qr)
+        assert pipeline.build_pool(Lf, 100, 2, _params()) == brute_pool(L, 2, 100, 1, 1)
+
+
+def test_qr_filter_keeps_squares_mod_L():
+    # the QR filter keeps the pool primes whose residue mod L is the square of a unit
+    for L, x in [(15, 10**4), (21, 10**4), (105, 10**5), (33, 10**4), (7 * 11 * 19 * 23, 10**6)]:
+        squares = {u * u % L for u in range(L) if math.gcd(u, L) == 1}
+        Lf = arith.factorize(L)
+        for k in (k for k in range(1, 31) if math.gcd(k, L) == 1):
+            pool = pipeline.build_pool(Lf, x, k, _params())
+            got = pipeline.build_pool(Lf, x, k, _params(require_qr=True))
+            assert got == [p for p in pool if p % L in squares], (L, k)
 
 
 def test_build_pool_matches_brute():
@@ -423,7 +411,7 @@ def test_erdos_pool_is_agp_pool_at_k1():
                       if oracle_is_prime(d + 1) and (lam * M) % (d + 1) != 0]
             for cap in (None, 5):
                 params = ConstructionParams(M=M, a=1, mode="agp", y=5, theta=1.5,
-                                            B=Fraction(2, 5), caps=Caps(pool_cap=cap),
+                                            B=Fraction(2, 5), pool_cap=cap,
                                             filters=PoolFilters())
                 agp = pipeline.build_pool(f, lam + 1, 1, params)
                 assert pipeline.erdos_pool(lam, M, cap) == agp == oracle[:cap], (lam, M, cap)
@@ -438,15 +426,23 @@ def test_construction_params_validation():
         ConstructionParams(M=1, a=1, mode="erdos", Lambda=1)
     with pytest.raises(DomainError):
         ConstructionParams(M=1, a=1, mode="other")
+    erdos = dict(M=1, a=1, mode="erdos", Lambda=120)
+    for cap, message in [(dict(x_cap=1), "x_cap must be >= 2"), (dict(k_cap=0), "k_cap must be >= 1"),
+                         (dict(pool_cap=0), "pool_cap must be >= 1")]:
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            ConstructionParams(**erdos, **cap)
+    params = ConstructionParams(**erdos, x_cap=2, k_cap=1, pool_cap=1)
+    assert (params.x_cap, params.k_cap, params.pool_cap) == (2, 1, 1)
+    assert ConstructionParams(**erdos).k_cap == 10_000
 
 
 def test_run_agp_construction_toy():
     params = ConstructionParams(
         M=1, a=1, mode="agp", y=5, theta=1.5, B=Fraction(2, 5),
-        caps=Caps(x_cap=40, k_cap=10), filters=PoolFilters())
+        x_cap=40, k_cap=10, filters=PoolFilters())
     st = pipeline.run_agp_construction(params)
     assert st.Q == (7, 11)
-    assert st.L == 77
+    assert st.L == 77 and st.L_fact.pairs == ((7, 1), (11, 1))
     assert st.x == 40  # capped
     assert st.x_faithful == pipeline.compute_x(1, 77, Fraction(2, 5))
     # over L = 77, x = 40: k = 2 yields {3, 23}, the best count
@@ -457,10 +453,29 @@ def test_run_agp_construction_toy():
 def test_run_agp_records_faithful_x_size():
     params = ConstructionParams(
         M=1, a=1, mode="agp", y=5, theta=1.5, B=Fraction(2, 5),
-        caps=Caps(x_cap=40), filters=PoolFilters())
+        x_cap=40, filters=PoolFilters())
     st = pipeline.run_agp_construction(params)
     assert st.x_faithful is not None
     assert abs(st.x_faithful_log2 - math.log2(st.x_faithful)) < 1e-6
+
+
+def test_run_agp_oversized_x_needs_x_cap():
+    # at B = 1/100000 the faithful x = 77**200000 needs 1400000 bits
+    agp = dict(M=1, a=1, mode="agp", y=5, theta=1.5, B=Fraction(1, 100000), filters=PoolFilters())
+    with pytest.raises(CapacityError, match=r"^x would need ~1400000 bits \(> 1000000 working\); "
+                                            r"set x_cap \(--x-cap\) instead$"):
+        pipeline.run_agp_construction(ConstructionParams(**agp))
+    st = pipeline.run_agp_construction(ConstructionParams(**agp, x_cap=1000))
+    assert (st.x_faithful, st.x) == (None, 1000)
+    assert st.x_faithful_log2 == pytest.approx(200000 * math.log2(77))
+
+
+def test_run_agp_window_without_Q_primes():
+    # y = 2, theta = 1.5: the window [ceil(2**1.5 / ln 2), floor(2**1.5)] = [5, 2] is empty
+    params = ConstructionParams(M=1, a=0, mode="agp", y=2, theta=1.5, B=Fraction(2, 5))
+    assert pipeline.build_Q(2, 1.5, 1) == []
+    with pytest.raises(ConstructionError, match="^no usable primes at these parameters$"):
+        pipeline.run_agp_construction(params)
 
 
 def test_lambda_and_L_size_bounds_light():
@@ -468,7 +483,8 @@ def test_lambda_and_L_size_bounds_light():
     mp = pytest.importorskip("mpmath")
     y, theta = 50, 1.5
     Q = pipeline.build_Q(y, theta, 1)
-    L, Lf = pipeline.build_L(Q)
+    Lf = arith.Factorization.of((q, 1) for q in Q)
+    L = Lf.value()
     assert math.log(L) <= 1.02 * y**theta
     lam = arith.carmichael_lambda(Lf)
     mp.mp.dps = 60

@@ -776,11 +776,11 @@ def test_zero_sum_threshold_spotcheck():
 def test_size_bounds_on_smooth_groups():
     # s(G) and the identity-threshold bound stay under e^(7 theta y) and
     # e^(3 theta y) for unit groups built from the shifted-smooth primes
-    from carmkit import pipeline, sieve
+    from carmkit import sieve
 
     for y, theta in [(50, 1.2), (50, 1.5), (100, 1.5), (200, 1.8)]:
         Q = sieve.build_Q(y, theta, 1)
-        _, L_fact = pipeline.build_L(Q)
+        L_fact = arith.Factorization.of((q, 1) for q in Q)
         inv = solver.compute_invariants(L_fact, omega_L=len(Q), x=3)
         assert math.log(inv.s_G) <= 7 * theta * y, (y, theta)
         n_int = inv.lambda_G + int(math.log(arith.euler_phi(L_fact))) + 1  # >= n_bound
