@@ -147,7 +147,9 @@ def carmichael_segment(lo: int, hi: int, odd_primes: np.ndarray) -> np.ndarray:
     v of a Carmichael v has p - 1 | v/p - 1, so v/p >= p, and v squarefree
     makes p < sqrt(v): s then holds every prime of v. Conversely s == v makes
     v squarefree, with p - 1 | v - 1 at each p | v, and composite, as each p
-    lies below v. s | v, so it never overflows.
+    lies below v. s | v, so it never overflows. int64 holds every value at
+    the enumeration cap of 10**11: p <= 316,227, a step p(p-1)/2 stays below
+    5*10**10, and s | v < 10**11.
 
     The primes 3 to 13 are seeded, not strided: at the odd index g = (v-1)/2
     each takes the progression g = (p-1)/2 (mod p(p-1)/2), so their product is

@@ -18,7 +18,7 @@ from . import _kernels
 from .arith import _TRIAL_PRIMES, Factorization, _odd_part, _root_split, factorize, is_prime
 from .errors import CapacityError, DomainError, int_text
 
-ENUMERATION_CAP = 10_000_000_000
+ENUMERATION_CAP = 100_000_000_000
 CENSUS_MODULUS_CAP = 1_000_000
 DEFAULT_SEGMENT = 1 << 20  # even, so every segment starts odd
 SPLIT_BASES = _TRIAL_PRIMES

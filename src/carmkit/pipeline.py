@@ -24,7 +24,7 @@ import numpy as np
 
 from ._kernels import MR_LIMIT, strong_probable_primes
 from .arith import (
-    _TRIAL_PRIMES, Factorization, factorize, is_prime, jacobi, mr_band, nth_root_floor, product,
+    _TRIAL_PRIMES, Factorization, factorize, is_prime, jacobi, mr_band, nth_root_floor,
 )
 from .errors import CapacityError, ConstructionError, DomainError
 from .sieve import build_Q
@@ -315,7 +315,8 @@ def run_agp_construction(params: ConstructionParams) -> ConstructionState:
     Q = build_Q(params.y, params.theta, params.M)  # ascending, as Factorization needs
     if not Q:
         raise ConstructionError("no usable primes at these parameters")
-    L, L_fact = product(Q), Factorization.of((q, 1) for q in Q)
+    L_fact = Factorization.of((q, 1) for q in Q)
+    L = L_fact.value()
     try:
         x_faithful = compute_x(params.M, L, params.B)
     except CapacityError:

@@ -13,16 +13,18 @@ has no match.
 
 Columns. Both form their products mod CRT columns of the modulus m (see
 _columns): int64 moduli below 2**31, packed from the prime powers that trial
-division finds, then one column of Python ints for the rest. A search of n
-elements takes the first columns that carry n + 38 bits, or all of them. The
-scan tests each taken column only where the ones before it hold;
-meet-in-the-middle keys on the taken columns folded into one int64 below
-2**38 (see _digest). A match counts only once the subset's product is the
-target mod m, so the witness does not depend on columns. Over a pool spread
-across the taken columns, about 2**(n - 38) matches per search fail mod m,
-from the fold, and the columns left out add about 2**-38 more. A match that
-holds on the taken columns but fails mod m shows that the pool crowds them:
-the search then restarts on every column, where only the fold can mislead.
+division finds, then one column of Python ints for the rest. The scan takes
+every column and tests each only at the masks of a block that the ones before
+it passed, and none once no mask is left, so a mask it keeps matches mod m:
+its hits are exact. Meet-in-the-middle alone takes a prefix: for n elements,
+the first columns that carry n + 38 bits, or all of them, folded into one
+int64 key below 2**38 (see _digest). Its match counts only once the subset's
+product is the target mod m, so the witness does not depend on columns.
+Over a pool spread across the taken columns, about 2**(n - 38) matches per
+search fail mod m, from the fold, and the columns left out add about 2**-38
+more. A match that holds on the taken columns but fails mod m shows that
+the pool crowds them: the search then restarts on every column, where only
+the fold can mislead.
 
 Every pool element is a unit and the DP starts from 1, so the DP table
 covers the phi(m) units only, with one axis of phi(q) positions per prime
@@ -185,7 +187,8 @@ def _columns(m: int, bits: int) -> list[int]:
     [m] below 2**31; above, the prime powers below 2**31 that trial division
     finds, packed in ascending order into int64 columns below 2**31, and last
     one column of Python ints for the rest and any prime power of 2**31 or
-    more. Trial division stops once the columns carry the bits."""
+    more. Trial division stops once the columns carry the bits, so the scan,
+    which asks for m.bit_length() bits, takes every column."""
     limit = _kernels.INT64_MOD_LIMIT
     if m < limit:
         return [m]
@@ -420,8 +423,8 @@ def subset_product_enumerate(
     """Every qualifying index subset, by full 2**n scan (n <= 24), ascending by mask.
 
     The masks go in the blocks of _mask_blocks, so memory stays
-    O(_MASK_BLOCK) beside the hits, and each block is tested one taken column
-    at a time, as the module docstring sets out.
+    O(_MASK_BLOCK) beside the hits. Each block is tested on every column, as
+    the module docstring sets out, so its hits are exact and none is confirmed.
     """
     pool = _validate_pool(pool, modulus, min_size, max_size)
     n = len(pool)
@@ -429,27 +432,18 @@ def subset_product_enumerate(
         raise CapacityError(f"pool size {n} exceeds exhaustive-scan cap {ENUMERATE_LIMIT}")
     target %= modulus
     cap = max_size if max_size is not None else n
-    masks = _scan(pool, modulus, target, min_size, cap, n + _DIGEST_BITS)
-    return [tuple(i for i in range(n) if mask >> i & 1) for mask in masks]
-
-
-def _scan(pool, modulus: int, target: int, min_size: int, cap: int, bits: int) -> list[int]:
-    """The masks, ascending, that the scan keeps, tested on the first columns
-    that carry ``bits`` bits and confirmed as _find_mitm confirms its matches."""
-    cols = _columns(modulus, bits)
-    span = math.prod(cols)
+    cols = _columns(modulus, modulus.bit_length())
     masks: list[int] = []
     for start, sizes, ((t, f), *parts) in _mask_blocks(pool, cols, 1):
         # t * f = target iff t = target / f: f is a product of units
         at = np.flatnonzero(t == target * pow(f, -1, cols[0]) % cols[0])
         for (t, f), c in zip(parts, cols[1:]):
+            if not at.size:
+                break
             at = at[t[at] == target * pow(f, -1, c) % c]
         size = sizes[at]
-        for mask in (at[(size >= min_size) & (size <= cap)] + start).tolist():
-            if span < modulus and _product(pool, mask, modulus) != target:
-                return _scan(pool, modulus, target, min_size, cap, modulus.bit_length())
-            masks.append(mask)
-    return masks
+        masks += (at[(size >= min_size) & (size <= cap)] + start).tolist()
+    return [tuple(i for i in range(n) if mask >> i & 1) for mask in masks]
 
 
 @dataclass(frozen=True)

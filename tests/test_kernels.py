@@ -235,12 +235,15 @@ A002997_SLICES = (
 def test_carmichael_segment_windows_around_known_carmichael():
     # a window that holds no Carmichael number reads all-False for almost any
     # wrong s, so each of these holds one from outside carmkit: the slices
-    # above and Chernick's (6k+1)(12k+1)(18k+1) with all three factors prime
+    # above and Chernick's (6k+1)(12k+1)(18k+1) with all three factors prime.
+    # Those in (10**10, 10**11), at k = 206, 216, 255, 276, 370 and 380, take
+    # the primes to sqrt(10**11) that enumerate_carmichael sieves at its cap
     sympy = pytest.importorskip("sympy")
-    chernick = [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in range(1, 200)
+    chernick = [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in range(1, 400)
                 if all(sympy.isprime(c * k + 1) for c in (6, 12, 18))]
-    known = A002997_SLICES + tuple(v for v in chernick if 10**6 < v < 10**10)
-    assert len(known) == 32 + 8
+    known = A002997_SLICES + tuple(v for v in chernick if 10**6 < v < 10**11)
+    assert len(known) == 32 + 8 + 6
+    at_cap = K.sieve_primes(math.isqrt(10**11 - 1))[1:]
     rng = random.Random(23)
     for v in known:
         f = sympy.factorint(v)  # Korselt's criterion, apart from carmkit
@@ -248,7 +251,7 @@ def test_carmichael_segment_windows_around_known_carmichael():
         width = rng.randint(4, 256)
         lo = v - 2 * rng.randrange(width)
         hi = lo + 2 * width
-        odd_primes = K.sieve_primes(math.isqrt(hi - 1))[1:]
+        odd_primes = at_cap if v > 10**10 else K.sieve_primes(math.isqrt(hi - 1))[1:]
         out = K.carmichael_segment(lo, hi, odd_primes)
         assert out[(v - lo) // 2], v
         assert np.array_equal(out, carmichael_segment_loops(lo, hi, odd_primes)), v

@@ -81,7 +81,8 @@ def test_enumerate_count_at_1e6():
 
 
 def test_enumerate_count_at_the_cap():
-    # 10**8, not the cap itself: 1547 below the 10**10 cap takes about 45 s on one thread
+    # 10**8, not the cap itself: counting the 3605 below the 10**11 cap takes
+    # about two minutes on one thread
     assert len(korselt.enumerate_carmichael(10**8)) == 255  # OEIS A055553
 
 

@@ -252,9 +252,20 @@ def test_agp_matches_independent_references():
 def test_pool_rule_reads_L_only_through_its_primes(monkeypatch):
     # find_k0, build_pool and erdos_pool never form L itself: over an L of
     # thousands of primes, a gcd with L per k or M*L mod p per candidate costs
-    # about a millisecond each. The references are refs.json's, QR filter on and off
+    # about a millisecond each. Forming L is barred only while they run, so
+    # run_agp_construction may still take L from its factorization. The
+    # references are refs.json's, QR filter on and off
     refs = json.loads(REFS.read_text(encoding="utf-8"))
-    monkeypatch.setattr(arith.Factorization, "value", lambda self: pytest.fail("L was formed"))
+
+    def barred(rule):
+        def call(*args):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(arith.Factorization, "value", lambda self: pytest.fail("L was formed"))
+                return rule(*args)
+        return call
+
+    for name in ("find_k0", "build_pool", "erdos_pool"):
+        monkeypatch.setattr(pipeline, name, barred(getattr(pipeline, name)))
     for key in ("40:1.5:3:1000000000000:100:30:0", "40:1.5:3:1000000000000:100:32:1"):
         y, theta, M, x_cap, k_cap, cap, filters = key.split(":")
         for a, ref in refs["agp"][key].items():

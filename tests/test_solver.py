@@ -23,6 +23,8 @@ from carmkit.solver import AssemblySpec
 # 3 * (primes 59..163); the prime P alone as one Python-int column
 P = 10**21 + 117
 AGP_SHAPE = 3 * math.prod(p for p in range(59, 164) if arith.is_prime(p))
+# 51 int64 columns, and no column of Python ints
+ODD_PRIMES_TO_1000 = math.prod(p for p in range(3, 1000, 2) if arith.is_prime(p))
 
 
 # Davenport constants D(G) of the unit groups G mod m: the least N such that every
@@ -290,8 +292,8 @@ def spy_walks(monkeypatch):
 def test_crowded_columns_restart_on_every_column(monkeypatch):
     # every element is 1 mod the first three columns, which carry the n + 38
     # bits a search takes first, so all keys meet there and every mask passes
-    # them; the first match that fails mod m restarts the search, and the
-    # scan, on every column
+    # them; the first match that fails mod m restarts the search on every
+    # column, while the scan takes every column from the start
     m = AGP_SHAPE * P
     cols = solver._columns(m, m.bit_length())
     head = math.prod(cols[:3])
@@ -320,8 +322,41 @@ def test_crowded_columns_restart_on_every_column(monkeypatch):
         want = np.flatnonzero((prods == target) & (sizes >= 2)).tolist()
         got = solver.subset_product_enumerate(pool, m, target, 2)
         assert got == [tuple(i for i in range(16) if mask >> i & 1) for mask in want]
-        assert moduli == cols[:3] + cols
+        assert moduli == cols
     assert got == []  # the second target is out of reach
+
+
+@pytest.mark.parametrize("m", [AGP_SHAPE * P, ODD_PRIMES_TO_1000],
+                         ids=["agp-shape*(1e21+117)", "odd-primes-to-1000"])
+def test_subset_enumerate_exact_past_the_search_columns(m):
+    # n + 38 bits reach only the first two or three columns of m: of seven for
+    # AGP_SHAPE * P, whose last is a column of Python ints, and of 51 int64
+    # columns for the odd primes below 1000. The scan takes them all, so its
+    # hits are exactly the masks whose product is the target, and find
+    # answers None exactly where there are none. Every other pool is crowded,
+    # 1 mod the first columns, so that every mask passes them
+    rng = random.Random(103)
+    for trial in range(6):
+        n = rng.randint(12, 16)
+        head = math.prod(solver._columns(m, n + solver._DIGEST_BITS))
+        assert head < m  # n + 38 bits leave columns out
+        pool = []
+        while len(pool) < n:
+            e = 1 + head * rng.randrange(m // head) if trial % 2 else rng.randrange(1, m)
+            if math.gcd(e, m) == 1:
+                pool.append(e)
+        table = mask_products_loops(pool, m)  # every mask's product, in mask order
+        reachable = math.prod(rng.sample(pool, rng.randint(1, 5))) % m
+        for target in (reachable, 1 + head * rng.randrange(m // head), rng.randrange(1, m)):
+            min_size = rng.randint(1, 3)
+            max_size = rng.choice([None, rng.randint(min_size, n)])
+            cap = max_size or n
+            want = [tuple(i for i in range(n) if mask >> i & 1)
+                    for mask, (prod, size) in enumerate(table)
+                    if prod == target and min_size <= size <= cap]
+            assert solver.subset_product_enumerate(pool, m, target, min_size, max_size) == want
+            got = solver.subset_product_find(pool, m, target, min_size, max_size)
+            assert (got is None) == (not want) and (got is None or got in want), (trial, target)
 
 
 def test_subset_find_confirms_digest_collisions():
